@@ -12,8 +12,8 @@ use hopp_hw::{HpdConfig, HwCostModel, RptCacheConfig};
 use hopp_scn::{Scenario, WorkloadSource};
 use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{
-    AppSpec, BaselineKind, FabricConfig, FaultScript, PlacementKind, SimConfig, SimReport,
-    Simulator, SystemConfig,
+    solo_app, AppSpec, BaselineKind, FabricConfig, FaultScript, PlacementKind, SimConfig,
+    SimReport, Simulator, SystemConfig,
 };
 use hopp_types::{Error, Nanos, Pid, Result};
 use hopp_workloads::WorkloadKind;
@@ -1059,13 +1059,12 @@ pub fn fault_study(scale: &Scale) -> Result<Vec<FaultRow>> {
                 },
                 ..SimConfig::with_system(system)
             };
-            let r = match script {
-                Some(s) => {
-                    let script = FaultScript::parse(s)?;
-                    hopp_sim::run_workload_with_faults(config, kind, fp, scale.seed, 0.5, &script)?
-                }
-                None => hopp_sim::run_workload_with(config, kind, fp, scale.seed, 0.5)?,
-            };
+            let stream = kind.build(SOLO_PID, fp, scale.seed);
+            let mut sim = Simulator::new(config, vec![solo_app(SOLO_PID, stream, fp, 0.5)])?;
+            if let Some(s) = script {
+                sim.set_fault_script(&FaultScript::parse(s)?)?;
+            }
+            let r = sim.run()?;
             let fabric = r.fabric.as_ref().ok_or(Error::InvalidConfig {
                 what: "fabric",
                 constraint: "multi-node pools report fabric stats",

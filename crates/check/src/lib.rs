@@ -36,12 +36,12 @@
 //!   conversion methods;
 //! * [`Rule::UnsafeAudit`] — every `unsafe` carries an adjacent
 //!   `// SAFETY:` comment (same line or up to three lines above);
-//! * [`Rule::ConfigDrift`] — every `SimConfig` field is documented in
-//!   `docs/config.md` and reachable from a `hoppsim` CLI flag, every
-//!   CLI flag with a match arm is listed in `usage()`, and every
-//!   workspace crate is classified sim-critical or harness in
-//!   [`rules`](SIM_CRITICAL_CRATES)' lists (a new crate cannot silently
-//!   skip analysis).
+//! * [`Rule::ConfigDrift`] — every workspace crate is classified
+//!   sim-critical or harness in [`rules`](SIM_CRITICAL_CRATES)' lists
+//!   (a new crate cannot silently skip analysis). `SimConfig`, the
+//!   `hoppsim` flags, `--help` and `docs/config.md` need no rule here:
+//!   they come from one flag table in `hoppsim`, tied to `SimConfig` at
+//!   compile time, whose unit tests pin the docs and the defaults.
 //!
 //! Individual findings can be waived in place with
 //! `// hopp-check: allow(<rule>): <reason>`; each waiver suppresses
@@ -86,8 +86,7 @@ pub enum Rule {
     UnitHygiene,
     /// `unsafe` without an adjacent `// SAFETY:` justification.
     UnsafeAudit,
-    /// `SimConfig` fields without a CLI flag or documentation row,
-    /// and workspace crates missing a sim-critical/harness class.
+    /// Workspace crates missing a sim-critical/harness class.
     ConfigDrift,
 }
 
@@ -158,8 +157,8 @@ impl Rule {
                  invariant that makes it sound."
             }
             Rule::ConfigDrift => {
-                "SimConfig fields, docs/config.md rows, hoppsim flags and the sim-critical \
-                 crate classification must not drift apart."
+                "Every workspace crate is classified sim-critical or harness, so none \
+                 silently skips the determinism and panic-policy rules."
             }
         }
     }
@@ -355,7 +354,6 @@ pub fn run(root: &Path) -> Result<CheckReport, String> {
         settle_waivers(&ctx, &mut findings, &mut report);
         report.files_checked += 1;
     }
-    rules::check_config_drift(root, &mut findings);
     rules::check_crate_classification(root, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     report.findings = findings;

@@ -6,11 +6,12 @@ use crate::lexer::Line;
 use crate::{FileContext, Finding, Rule};
 
 /// Crates whose code runs inside the simulated clock domain. Everything
-/// here must be deterministic and panic-free; harness crates (`trace`
-/// file IO, `obs` exporters, `workloads` generators, `bench`, the
-/// checker itself) are exempt from those two rules but not from unit
-/// hygiene.
-pub const SIM_CRITICAL_CRATES: [&str; 10] = [
+/// here must be deterministic and panic-free; harness crates (`obs`
+/// exporters, `bench`, the checker itself) are exempt from those two
+/// rules but not from unit hygiene. `trace` (the LLC model on every
+/// cacheline access) and `workloads` (the seeded stream generators) sit
+/// on the simulated path and are sim-critical.
+pub const SIM_CRITICAL_CRATES: [&str; 12] = [
     "hw",
     "kernel",
     "mem",
@@ -21,27 +22,20 @@ pub const SIM_CRITICAL_CRATES: [&str; 10] = [
     "baselines",
     "ds",
     "scenario",
+    "trace",
+    "workloads",
 ];
 
 /// Crates that are host-side tooling by design: measurement harnesses,
-/// exporters, generators and the checker itself. Exempt from the
-/// sim-critical determinism/panic rules (but not from unit hygiene,
+/// exporters and the checker itself. Exempt from the sim-critical
+/// determinism/panic rules (but not from unit hygiene,
 /// ordering-sensitivity or the unsafe audit).
 ///
 /// Together with [`SIM_CRITICAL_CRATES`] this must cover every
 /// directory under `crates/`: [`check_crate_classification`] fails the
 /// check when a workspace member is in neither list, so a new crate
 /// cannot silently skip analysis.
-pub const HARNESS_CRATES: [&str; 8] = [
-    "bench",
-    "check",
-    "obs",
-    "prof",
-    "trace",
-    "types",
-    "workloads",
-    "xtask",
-];
+pub const HARNESS_CRATES: [&str; 6] = ["bench", "check", "obs", "prof", "types", "xtask"];
 
 /// ID newtypes whose raw values must not be `as`-cast outside
 /// `crates/types` (the one place allowed to define conversions).
@@ -308,212 +302,6 @@ fn contains_ident(code: &str, needle: &str) -> bool {
     false
 }
 
-/// Rule 4: every `SimConfig` field must be documented in
-/// `docs/config.md` with a CLI flag that actually exists in the
-/// `hoppsim` binary's source. The docs table *is* the mapping; drift in
-/// any of the three places (struct, docs, CLI) surfaces here.
-///
-/// Sub-check: when the CLI ships a `fn usage()` help text, every flag
-/// with a match arm must be listed in it — an arm with no usage line is
-/// invisible to users and drifts out of the docs unnoticed. Gated on
-/// `fn usage(` being present so minimal fixtures stay valid.
-pub fn check_config_drift(root: &Path, findings: &mut Vec<Finding>) {
-    let config_rs = root.join("crates/sim/src/config.rs");
-    let hoppsim_rs = root.join("crates/sim/src/bin/hoppsim.rs");
-    let docs_md = root.join("docs/config.md");
-    let mut missing = |file: &Path, what: &str| {
-        findings.push(Finding {
-            rule: Rule::ConfigDrift,
-            file: crate::relative_to(root, file),
-            line: 1,
-            message: format!("{what} not found; the config-drift rule needs it"),
-        });
-    };
-    let Ok(config_src) = std::fs::read_to_string(&config_rs) else {
-        missing(&config_rs, "SimConfig source");
-        return;
-    };
-    let Ok(hoppsim_src) = std::fs::read_to_string(&hoppsim_rs) else {
-        missing(&hoppsim_rs, "hoppsim CLI source");
-        return;
-    };
-    let Ok(docs_src) = std::fs::read_to_string(&docs_md) else {
-        missing(&docs_md, "docs/config.md mapping table");
-        return;
-    };
-
-    let fields = sim_config_fields(&config_src);
-    let rows = config_table_rows(&docs_src);
-    let docs_rel = crate::relative_to(root, &docs_md);
-
-    for (field, lineno) in &fields {
-        match rows.iter().find(|(f, _, _)| f == field) {
-            None => findings.push(Finding {
-                rule: Rule::ConfigDrift,
-                file: crate::relative_to(root, &config_rs),
-                line: *lineno,
-                message: format!(
-                    "`SimConfig::{field}` has no row in docs/config.md; document it and its \
-                     CLI flag"
-                ),
-            }),
-            Some((_, flag, row_line)) => {
-                if !hoppsim_src.contains(flag.as_str()) {
-                    findings.push(Finding {
-                        rule: Rule::ConfigDrift,
-                        file: docs_rel.clone(),
-                        line: *row_line,
-                        message: format!(
-                            "`SimConfig::{field}` is documented with flag `{flag}`, but hoppsim \
-                             does not implement that flag"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    for (field, _, row_line) in &rows {
-        if !fields.iter().any(|(f, _)| f == field) {
-            findings.push(Finding {
-                rule: Rule::ConfigDrift,
-                file: docs_rel.clone(),
-                line: *row_line,
-                message: format!(
-                    "docs/config.md documents `{field}`, which is not a SimConfig field; \
-                     remove the stale row"
-                ),
-            });
-        }
-    }
-
-    if hoppsim_src.contains("fn usage(") {
-        let listed = usage_region_flags(&hoppsim_src);
-        let hoppsim_rel = crate::relative_to(root, &hoppsim_rs);
-        for (flag, lineno) in cli_arm_flags(&hoppsim_src) {
-            if !listed.iter().any(|l| l == &flag) {
-                findings.push(Finding {
-                    rule: Rule::ConfigDrift,
-                    file: hoppsim_rel.clone(),
-                    line: lineno,
-                    message: format!(
-                        "CLI flag `{flag}` has a match arm but no `usage()` line; list it \
-                         so the help text and docs/config.md can track it"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Extracts `(flag, line)` for every CLI match arm (`"--x" => …`, or
-/// `"--x" | "-y" => …`): lines whose trimmed form opens with a string
-/// literal and that contain `=>`, taking only flags left of the arrow
-/// so `value("--x")` calls in the arm body are not double-counted.
-fn cli_arm_flags(src: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for (idx, line) in src.lines().enumerate() {
-        let t = line.trim_start();
-        if !t.starts_with('"') {
-            continue;
-        }
-        let Some(arrow) = t.find("=>") else { continue };
-        for flag in flag_tokens(&t[..arrow]) {
-            out.push((flag, idx + 1));
-        }
-    }
-    out
-}
-
-/// Flags listed in the `usage()` help text: everything between
-/// `fn usage(` and the function's closing brace in column 0.
-fn usage_region_flags(src: &str) -> Vec<String> {
-    let mut flags = Vec::new();
-    let mut inside = false;
-    for line in src.lines() {
-        if line.contains("fn usage(") {
-            inside = true;
-            continue;
-        }
-        if inside {
-            if line.starts_with('}') {
-                break;
-            }
-            flags.extend(flag_tokens(line));
-        }
-    }
-    flags
-}
-
-/// `--[a-z][a-z0-9-]*` tokens in `s` (long flags only; `-h` shorthands
-/// are aliases of a long flag and not tracked).
-fn flag_tokens(s: &str) -> Vec<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 2 < bytes.len() {
-        if bytes[i] == b'-' && bytes[i + 1] == b'-' && bytes[i + 2].is_ascii_lowercase() {
-            if i > 0 && bytes[i - 1] == b'-' {
-                i += 1;
-                continue;
-            }
-            let mut end = i + 2;
-            while end < bytes.len()
-                && (bytes[end].is_ascii_lowercase()
-                    || bytes[end].is_ascii_digit()
-                    || bytes[end] == b'-')
-            {
-                end += 1;
-            }
-            out.push(s[i..end].trim_end_matches('-').to_string());
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Extracts `(field, line)` pairs from `pub struct SimConfig { … }`.
-fn sim_config_fields(src: &str) -> Vec<(String, usize)> {
-    let lexed = crate::lexer::lex(src);
-    let mut fields = Vec::new();
-    let mut inside = false;
-    let mut depth = 0i32;
-    for (idx, line) in lexed.lines.iter().enumerate() {
-        let code = line.code.trim();
-        if code.starts_with("pub struct SimConfig") {
-            inside = true;
-        }
-        if inside {
-            if let Some(rest) = code.strip_prefix("pub ") {
-                if let Some(colon) = rest.find(':') {
-                    let name = rest[..colon].trim();
-                    if depth == 1
-                        && !name.contains('(')
-                        && name.chars().all(|c| c.is_alphanumeric() || c == '_')
-                        && !name.is_empty()
-                    {
-                        fields.push((name.to_string(), idx + 1));
-                    }
-                }
-            }
-            for c in line.code.chars() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return fields;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    fields
-}
-
 /// Every directory under `crates/` must be classified: either
 /// sim-critical (full determinism/panic rules) or harness (exempt from
 /// those two). An unclassified crate is a finding — previously the
@@ -572,28 +360,6 @@ pub fn check_crate_classification(root: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Parses `| field | --flag | … |` rows out of the docs table.
-fn config_table_rows(src: &str) -> Vec<(String, String, usize)> {
-    let mut rows = Vec::new();
-    for (idx, line) in src.lines().enumerate() {
-        let t = line.trim();
-        if !t.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = t.trim_matches('|').split('|').map(str::trim).collect();
-        if cells.len() < 2 {
-            continue;
-        }
-        let field = cells[0].trim_matches('`').to_string();
-        let flag = cells[1].trim_matches('`').to_string();
-        if field.is_empty() || field == "field" || field.starts_with('-') {
-            continue; // header or separator row
-        }
-        rows.push((field, flag, idx + 1));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,70 +378,5 @@ mod tests {
         let code = "NodeId::new(f(x) as u16, y)";
         let open = code.find("new(").unwrap() + 3;
         assert_eq!(argument_span(code, open), "f(x) as u16, y");
-    }
-
-    #[test]
-    fn sim_config_fields_parse() {
-        let src = "\
-/// Docs.
-pub struct SimConfig {
-    /// The LLC.
-    pub llc: LlcConfig,
-    pub channels: usize,
-}
-pub struct Other { pub nope: u8 }
-";
-        let fields = sim_config_fields(src);
-        assert_eq!(
-            fields.iter().map(|(f, _)| f.as_str()).collect::<Vec<_>>(),
-            ["llc", "channels"]
-        );
-    }
-
-    #[test]
-    fn cli_arm_flags_take_only_the_pattern_side() {
-        let src = "\
-fn main() {
-    match flag.as_str() {
-        \"--llc-kb\" => drop(value(\"--other\")),
-        \"--help\" | \"-h\" => usage(),
-        \"bursty\" => {}
-        _ => usage(),
-    }
-}
-";
-        let got = cli_arm_flags(src);
-        assert_eq!(
-            got,
-            vec![("--llc-kb".to_string(), 3), ("--help".to_string(), 4)]
-        );
-    }
-
-    #[test]
-    fn usage_flags_stop_at_the_closing_brace() {
-        let src = "\
-fn usage() -> ! {
-    eprintln!(\"--a <n>  thing\\n  --b  other (see --c)\");
-}
-
-fn main() {
-    let _ = \"--not-usage\";
-}
-";
-        assert_eq!(usage_region_flags(src), ["--a", "--b", "--c"]);
-    }
-
-    #[test]
-    fn flag_tokens_need_exactly_two_dashes() {
-        assert_eq!(flag_tokens("--x ---y -z --ok-2"), ["--x", "--ok-2"]);
-        assert!(flag_tokens("a - b").is_empty());
-    }
-
-    #[test]
-    fn config_rows_skip_headers() {
-        let rows = config_table_rows("| field | flag |\n|---|---|\n| `llc` | `--llc-kb` |\n");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, "llc");
-        assert_eq!(rows[0].1, "--llc-kb");
     }
 }

@@ -3,7 +3,7 @@
 //! waiver, reasons mandatory, stale waivers flagged.
 //!
 //! Each fixture under `tests/fixtures/` is a miniature fake workspace
-//! (`crates/*/src`, `crates/sim/src/bin`, `docs/`) handed to
+//! (`crates/*/src`) handed to
 //! [`hopp_check::run`] as its root. The `.rs` files inside are never
 //! compiled and never scanned by the real workspace check (which skips
 //! `tests/` trees), so they can carry deliberate violations.
@@ -33,12 +33,11 @@ fn seeded_violations_fire_once_each_with_file_and_line() {
             (Rule::Determinism, "crates/hw/src/lib.rs", 3),
             (Rule::PanicPolicy, "crates/kernel/src/lib.rs", 5),
             (Rule::UnitHygiene, "crates/mem/src/lib.rs", 7),
-            (Rule::ConfigDrift, "crates/sim/src/config.rs", 8),
         ],
         "one finding per rule, at the seeded file:line\n{}",
         report.render()
     );
-    assert_eq!(report.files_checked, 5);
+    assert_eq!(report.files_checked, 3);
     assert_eq!(report.waiver_budget(), 0);
 
     // Findings render as `file:line: [rule] message` so editors can jump.
@@ -62,22 +61,6 @@ fn seeded_violations_fire_once_each_with_file_and_line() {
 }
 
 #[test]
-fn seeded_config_drift_points_at_the_undocumented_field() {
-    let report = check("seeded");
-    let drift: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::ConfigDrift)
-        .collect();
-    assert_eq!(drift.len(), 1);
-    assert!(
-        drift[0].message.contains("ghost"),
-        "names the field: {}",
-        drift[0].message
-    );
-}
-
-#[test]
 fn reasoned_waivers_suppress_exactly_their_findings() {
     let report = check("waived");
     assert!(
@@ -91,7 +74,7 @@ fn reasoned_waivers_suppress_exactly_their_findings() {
     assert_eq!(report.waived.get("panic-policy"), Some(&1));
     assert_eq!(report.waived.get("unit-hygiene"), Some(&1));
     assert_eq!(report.waiver_budget(), 4);
-    assert_eq!(report.files_checked, 5);
+    assert_eq!(report.files_checked, 3);
 }
 
 #[test]
@@ -165,7 +148,7 @@ fn hopp_ds_collections_pass_where_hashmap_fires() {
         "steer recommends the deterministic map: {}",
         report.findings[0].message
     );
-    assert_eq!(report.files_checked, 4);
+    assert_eq!(report.files_checked, 2);
 }
 
 #[test]
@@ -188,7 +171,7 @@ fn thread_policy_spares_only_the_lab_pool() {
         "steer names the sanctioned pool: {}",
         report.findings[0].message
     );
-    assert_eq!(report.files_checked, 4);
+    assert_eq!(report.files_checked, 2);
     assert_eq!(report.waiver_budget(), 0);
 }
 
@@ -211,7 +194,7 @@ fn scenario_engine_is_sim_critical() {
         "steers toward typed errors: {}",
         report.findings[0].message
     );
-    assert_eq!(report.files_checked, 4);
+    assert_eq!(report.files_checked, 2);
     assert_eq!(report.waiver_budget(), 0);
 }
 
@@ -221,17 +204,14 @@ fn prof_spans_pass_where_raw_host_clock_reads_fire() {
     // The `hopp_prof::span("kernel/reclaim")` guard on line 5 is the
     // sanctioned host-timing probe and produces nothing; the raw
     // `Instant::now()` / `host_now_ns()` reads right below it each fire.
-    // The CLI fixture ships a `usage()` that forgot `--prof-folded`, so
-    // the usage-drift sub-check points at that arm.
     let got: Vec<_> = report.findings.iter().map(brief).collect();
     assert_eq!(
         got,
         vec![
             (Rule::Determinism, "crates/kernel/src/lib.rs", 6),
             (Rule::Determinism, "crates/kernel/src/lib.rs", 7),
-            (Rule::ConfigDrift, "crates/sim/src/bin/hoppsim.rs", 19),
         ],
-        "span guard spared, raw reads and the undocumented flag flagged\n{}",
+        "span guard spared, raw reads flagged\n{}",
         report.render()
     );
     assert!(
@@ -239,13 +219,7 @@ fn prof_spans_pass_where_raw_host_clock_reads_fire() {
         "steer names the sanctioned probe: {}",
         report.findings[1].message
     );
-    assert!(
-        report.findings[2].message.contains("--prof-folded")
-            && report.findings[2].message.contains("usage()"),
-        "names the flag and the missing surface: {}",
-        report.findings[2].message
-    );
-    assert_eq!(report.files_checked, 3);
+    assert_eq!(report.files_checked, 1);
     assert_eq!(report.waiver_budget(), 0);
 }
 
@@ -296,7 +270,7 @@ fn taint_flow_catches_laundering_the_identifier_ban_cannot_see() {
         "return finding names the function: {}",
         report.findings[1].message
     );
-    assert_eq!(report.files_checked, 3);
+    assert_eq!(report.files_checked, 1);
 }
 
 #[test]
@@ -320,7 +294,7 @@ fn ordering_sensitivity_fires_on_hash_iteration_with_escaping_writes() {
     );
     // obs is a harness crate: no blanket-HashMap determinism finding.
     assert!(report.findings.iter().all(|f| f.rule != Rule::Determinism));
-    assert_eq!(report.files_checked, 3);
+    assert_eq!(report.files_checked, 1);
 }
 
 #[test]
@@ -339,7 +313,7 @@ fn unsafe_audit_requires_an_adjacent_safety_comment() {
         "{}",
         report.findings[0].message
     );
-    assert_eq!(report.files_checked, 3);
+    assert_eq!(report.files_checked, 1);
 }
 
 #[test]
@@ -361,7 +335,7 @@ fn unclassified_crates_are_config_drift() {
         "names both lists: {}",
         report.findings[0].message
     );
-    assert_eq!(report.files_checked, 3);
+    assert_eq!(report.files_checked, 1);
 }
 
 #[test]
@@ -387,8 +361,8 @@ fn the_real_workspace_crate_list_is_fully_classified() {
 }
 
 #[test]
-fn missing_config_surfaces_are_reported_not_fatal() {
-    // A root with no crates/ directory at all is an IO error ...
+fn a_missing_workspace_root_is_an_error() {
+    // A root with no crates/ directory at all is an IO error.
     let bogus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/does-not-exist");
     assert!(hopp_check::run(&bogus).is_err());
 }

@@ -12,9 +12,10 @@
 //! Without it [`thread_allocs`] stays at zero and every span reports
 //! zero allocations — time attribution is unaffected.
 //!
-//! The `unsafe` below is the mandatory `GlobalAlloc` plumbing (same
-//! shape as the counting allocator in `tests/alloc_steady.rs`); it
-//! delegates verbatim to [`std::alloc::System`].
+//! The `unsafe` below is the mandatory `GlobalAlloc` plumbing; it
+//! delegates verbatim to [`std::alloc::System`]. `tests/alloc_steady.rs`
+//! installs this allocator too and measures with [`thread_allocs`]
+//! deltas, which stay exact when tests run on parallel threads.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -29,10 +29,10 @@
 //! ```
 //!
 //! Sequential single-process traces (the common case) cost 2 bytes per
-//! access instead of the flat pagefile format's 16. The initial decoder
-//! state is `vpn = 0, lines = 1, think_ns = 0` and the header's pid, so
-//! encoder and decoder stay in lockstep without any seekable state —
-//! both writer and reader are fully streaming.
+//! access, against 16 for a fixed-width record of every field. The
+//! initial decoder state is `vpn = 0, lines = 1, think_ns = 0` and the
+//! header's pid, so encoder and decoder stay in lockstep without any
+//! seekable state — both writer and reader are fully streaming.
 
 use std::io::{self, Read, Write};
 use std::path::Path;

@@ -11,18 +11,28 @@
 //! hoppsim --replay-trace k.hst --metrics-json b.json   # a.json == b.json
 //! hoppsim --list
 //! ```
+//!
+//! Every flag is one entry of [`FLAGS`]: its name, value, help text,
+//! the `SimConfig` field it sets, a setter and a reader for its current
+//! value. `--help` and the table in `docs/config.md` are both rendered
+//! from it, with defaults read from the state parsing starts from
+//! ([`Cli::default`]).
 
+use std::fmt::Write as _;
 use std::path::Path;
 
-use hopp_core::policy::{HugeBatchConfig, PolicyConfig};
+use hopp_core::policy::HugeBatchConfig;
 use hopp_core::{HoppConfig, MarkovConfig, TrainerKind};
+use hopp_net::RdmaConfig;
 use hopp_obs::{events_to_chrome_trace_with_extra, ObsLevel};
-use hopp_scn::{hst, HstHeader, Scenario};
+use hopp_scn::{hst, HstHeader, HstTrace, Scenario};
+use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{
-    run_stream_with, run_workload_with, run_workload_with_faults, BaselineKind, FabricConfig,
-    FaultScript, PlacementKind, SimConfig, SimReport, SystemConfig,
+    run_stream_with, solo_app, BaselineKind, FaultScript, PlacementKind, SimConfig, SimReport,
+    Simulator, SystemConfig,
 };
 use hopp_trace::AccessStream;
+use hopp_types::Nanos;
 use hopp_workloads::WorkloadKind;
 
 /// Count heap allocations per thread so `--prof-json` spans can report
@@ -30,40 +40,24 @@ use hopp_workloads::WorkloadKind;
 #[global_allocator]
 static ALLOC: hopp_prof::alloc::CountingAlloc = hopp_prof::alloc::CountingAlloc;
 
-#[derive(Debug)]
-struct Args {
+/// Everything the command line sets: the simulated machine plus the
+/// run around it.
+#[derive(Clone, PartialEq, Debug)]
+struct Cli {
+    /// The machine and the system under test.
+    config: SimConfig,
+    /// HoPP's software knobs, folded into `config.system` after parsing
+    /// when the system is HoPP.
+    hopp: HoppConfig,
+    /// Scripted pool faults, attached to the simulator before the run.
+    fault_script: Option<FaultScript>,
     workload: WorkloadKind,
-    system: String,
-    ratio: f64,
-    footprint: u64,
-    seed: u64,
-    channels: usize,
-    llc_kb: Option<usize>,
-    llc_hit_ns: Option<u64>,
-    hpd_threshold: Option<u32>,
-    rpt_kb: Option<usize>,
-    slack_frames: Option<usize>,
-    reclaim_cost_ns: Option<u64>,
-    direct_reclaim: bool,
-    intensity: u32,
-    huge_batch: bool,
-    markov: bool,
-    fixed_offset: Option<f64>,
-    record: Option<String>,
-    replay: Option<String>,
     scenario: Option<String>,
     record_trace: Option<String>,
     replay_trace: Option<String>,
-    volatile: bool,
-    mem_nodes: usize,
-    placement: PlacementKind,
-    replication: usize,
-    fault_script: Option<FaultScript>,
-    imprecise_lru: bool,
-    reclaim_window_ms: Option<u64>,
-    remote_capacity: Option<usize>,
-    timeline: Option<u64>,
-    obs_level: Option<ObsLevel>,
+    ratio: f64,
+    footprint: u64,
+    seed: u64,
     trace_out: Option<String>,
     metrics_json: Option<String>,
     timeline_out: Option<String>,
@@ -71,41 +65,21 @@ struct Args {
     prof_folded: Option<String>,
 }
 
-impl Default for Args {
+impl Default for Cli {
+    /// The state parsing starts from: `SimConfig::default()` with HoPP
+    /// as the system under test, plus the CLI's run defaults.
     fn default() -> Self {
-        Args {
+        Cli {
+            config: SimConfig::with_system(SystemConfig::hopp_default()),
+            hopp: HoppConfig::default(),
+            fault_script: None,
             workload: WorkloadKind::Kmeans,
-            system: "hopp".to_string(),
-            ratio: 0.5,
-            footprint: 4_096,
-            seed: 42,
-            channels: 1,
-            llc_kb: None,
-            llc_hit_ns: None,
-            hpd_threshold: None,
-            rpt_kb: None,
-            slack_frames: None,
-            reclaim_cost_ns: None,
-            direct_reclaim: false,
-            intensity: 1,
-            huge_batch: false,
-            markov: false,
-            fixed_offset: None,
-            record: None,
-            replay: None,
             scenario: None,
             record_trace: None,
             replay_trace: None,
-            volatile: false,
-            mem_nodes: 1,
-            placement: PlacementKind::default(),
-            replication: 1,
-            fault_script: None,
-            imprecise_lru: false,
-            reclaim_window_ms: None,
-            remote_capacity: None,
-            timeline: None,
-            obs_level: None,
+            ratio: 0.5,
+            footprint: 4_096,
+            seed: 42,
             trace_out: None,
             metrics_json: None,
             timeline_out: None,
@@ -113,6 +87,398 @@ impl Default for Args {
             prof_folded: None,
         }
     }
+}
+
+/// Why a command line does not start a run.
+#[derive(PartialEq, Debug)]
+enum Stop {
+    /// A bad command line, with what was wrong: usage, exit 2.
+    Bad(String),
+    /// `--help`: usage, exit 2.
+    Help,
+    /// `--list`: the workload catalogue, exit 0.
+    List,
+}
+
+impl Stop {
+    fn code(&self) -> i32 {
+        match self {
+            Stop::List => 0,
+            Stop::Bad(_) | Stop::Help => 2,
+        }
+    }
+
+    fn exit(self) -> ! {
+        match &self {
+            Stop::List => print_catalogue(),
+            Stop::Bad(why) => eprintln!("{why}\n{}", usage()),
+            Stop::Help => eprintln!("{}", usage()),
+        }
+        std::process::exit(self.code());
+    }
+}
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder; empty for a switch.
+    value: &'static str,
+    /// The `SimConfig` field the flag sets; empty for run flags.
+    field: &'static str,
+    help: &'static str,
+    set: fn(&mut Cli, &str) -> Result<(), Stop>,
+    /// The current value as flag text; `None` when unset. Read from
+    /// [`Cli::default`] it is the default `--help` and the docs show.
+    show: fn(&Cli) -> Option<String>,
+}
+
+fn bad(why: impl std::fmt::Display) -> Stop {
+    Stop::Bad(why.to_string())
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, Stop> {
+    v.parse().map_err(|_| bad(format!("not a number: {v:?}")))
+}
+
+fn pick<T>(v: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, Stop> {
+    parse(v).ok_or_else(|| bad(format!("unknown value {v:?}")))
+}
+
+fn path(v: &str) -> Result<Option<String>, Stop> {
+    Ok(Some(v.to_string()))
+}
+
+fn switch(c: &mut Cli, on: fn(&mut Cli)) -> Result<(), Stop> {
+    on(c);
+    Ok(())
+}
+
+fn unset(_: &Cli) -> Option<String> {
+    None
+}
+
+fn jitter(v: &str) -> Option<RdmaConfig> {
+    match v {
+        "bursty" => Some(RdmaConfig::volatile()),
+        "off" => Some(RdmaConfig::default()),
+        _ => None,
+    }
+}
+
+/// Every flag `hoppsim` accepts, in `--help` order within each section.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--workload", value: "<name>", field: "",
+        help: "one of the 15 paper workloads, see --list",
+        set: |c, v| pick(v, workload_by_name).map(|k| c.workload = k),
+        show: |c| Some(c.workload.name().to_string()) },
+    Flag { name: "--system", value: "<name>", field: "system",
+        help: "hopp | fastswap | leap | vma | no-prefetch | depth-<N>",
+        set: |c, v| pick(v, system_by_name).map(|s| c.config.system = s),
+        show: |c| Some(c.config.system.name().to_string()) },
+    Flag { name: "--ratio", value: "<f>", field: "",
+        help: "local memory / footprint",
+        set: |c, v| num(v).map(|n| c.ratio = n),
+        show: |c| Some(c.ratio.to_string()) },
+    Flag { name: "--footprint", value: "<pages>", field: "",
+        help: "heap size in 4 KB pages",
+        set: |c, v| num(v).map(|n| c.footprint = n),
+        show: |c| Some(c.footprint.to_string()) },
+    Flag { name: "--seed", value: "<n>", field: "",
+        help: "workload RNG seed",
+        set: |c, v| num(v).map(|n| c.seed = n),
+        show: |c| Some(c.seed.to_string()) },
+    Flag { name: "--channels", value: "<n>", field: "channels",
+        help: "interleaved memory channels, each with an HPD at threshold N / channels",
+        set: |c, v| num(v).map(|n| c.config.channels = n),
+        show: |c| Some(c.config.channels.to_string()) },
+    Flag { name: "--llc-kb", value: "<n>", field: "llc",
+        help: "LLC capacity in KiB (16 ways)",
+        set: |c, v| pick(v, |v| v.parse::<usize>().ok()?.checked_mul(1024))
+            .map(|bytes| c.config.llc.capacity_bytes = bytes),
+        show: |c| Some((c.config.llc.capacity_bytes / 1024).to_string()) },
+    Flag { name: "--llc-hit-ns", value: "<n>", field: "llc_hit",
+        help: "LLC hit cost in ns",
+        set: |c, v| num(v).map(|ns| c.config.llc_hit = Nanos::from_nanos(ns)),
+        show: |c| Some(c.config.llc_hit.as_nanos().to_string()) },
+    Flag { name: "--hpd-threshold", value: "<n>", field: "hpd",
+        help: "HPD hot-page threshold N: LLC-miss reads before a page is hot",
+        set: |c, v| num(v).map(|n| c.config.hpd.threshold = n),
+        show: |c| Some(c.config.hpd.threshold.to_string()) },
+    Flag { name: "--rpt-kb", value: "<n>", field: "rpt",
+        help: "RPT cache capacity in KiB (16 ways)",
+        set: |c, v| num(v).map(|kb| c.config.rpt = hopp_hw::RptCacheConfig::with_kib(kb)),
+        show: |c| Some((c.config.rpt.capacity_bytes / 1024).to_string()) },
+    Flag { name: "--slack-frames", value: "<n>", field: "slack_frames",
+        help: "frame headroom beyond the cgroup limits, for un-charged swapcache pages",
+        set: |c, v| num(v).map(|n| c.config.slack_frames = n),
+        show: |c| Some(c.config.slack_frames.to_string()) },
+    Flag { name: "--reclaim-cost-ns", value: "<n>", field: "latency",
+        help: "per-page reclaim cost in ns",
+        set: |c, v| num(v).map(|ns| c.config.latency.reclaim_per_page = Nanos::from_nanos(ns)),
+        show: |c| Some(c.config.latency.reclaim_per_page.as_nanos().to_string()) },
+    Flag { name: "--direct-reclaim", value: "", field: "reclaim_in_advance",
+        help: "charge reclaim to the faulting path (pre-v5.8 kernels)",
+        set: |c, _| switch(c, |c| c.config.reclaim_in_advance = false),
+        show: unset },
+    Flag { name: "--intensity", value: "<n>", field: "system",
+        help: "pages prefetched per hot page (hopp only)",
+        set: |c, v| num(v).map(|n| c.hopp.policy.intensity = n),
+        show: |c| Some(c.hopp.policy.intensity.to_string()) },
+    Flag { name: "--offset", value: "<i>", field: "system",
+        help: "pin the prefetch offset (hopp only)",
+        set: |c, v| num(v).map(|i| c.hopp.policy.fixed_offset = Some(i)),
+        show: |c| c.hopp.policy.fixed_offset.map(|i| i.to_string()) },
+    Flag { name: "--huge-batch", value: "", field: "system",
+        help: "enable 2 MB batched prefetch (hopp only)",
+        set: |c, _| switch(c, |c| c.hopp.policy.huge_batch = Some(HugeBatchConfig::default())),
+        show: unset },
+    Flag { name: "--markov", value: "", field: "system",
+        help: "use the Markov trainer instead of three-tier (hopp only)",
+        set: |c, _| switch(c, |c| c.hopp.trainer = TrainerKind::Markov(MarkovConfig::default())),
+        show: unset },
+    Flag { name: "--scenario", value: "<file>", field: "",
+        help: "run a scenario DSL file instead of --workload (docs/scenarios.md)",
+        set: |c, v| path(v).map(|p| c.scenario = p),
+        show: |c| c.scenario.clone() },
+    Flag { name: "--record-trace", value: "<file>", field: "",
+        help: "capture the run's accesses as a .hst trace, then run normally",
+        set: |c, v| path(v).map(|p| c.record_trace = p),
+        show: |c| c.record_trace.clone() },
+    Flag { name: "--replay-trace", value: "<file>", field: "",
+        help: "replay a .hst trace bit-identically (ignores --workload and --scenario)",
+        set: |c, v| path(v).map(|p| c.replay_trace = p),
+        show: |c| c.replay_trace.clone() },
+    Flag { name: "--jitter", value: "<mode>", field: "rdma",
+        help: "bursty (periodic 8x network congestion bursts) | off",
+        set: |c, v| pick(v, jitter).map(|rdma| c.config.rdma = rdma),
+        show: |c| ["off", "bursty"].into_iter()
+            .find(|&m| jitter(m) == Some(c.config.rdma)).map(Into::into) },
+    Flag { name: "--mem-nodes", value: "<n>", field: "fabric",
+        help: "memory nodes in the remote pool",
+        set: |c, v| num(v).map(|n| c.config.fabric.nodes = n),
+        show: |c| Some(c.config.fabric.nodes.to_string()) },
+    Flag { name: "--placement", value: "<p>", field: "fabric",
+        help: "hash | rr | stream page placement",
+        set: |c, v| pick(v, PlacementKind::parse).map(|p| c.config.fabric.placement = p),
+        show: |c| Some(c.config.fabric.placement.name().to_string()) },
+    Flag { name: "--replication", value: "<r>", field: "fabric",
+        help: "replicas per page, 1..=nodes",
+        set: |c, v| num(v).map(|n| c.config.fabric.replication = n),
+        show: |c| Some(c.config.fabric.replication.to_string()) },
+    Flag { name: "--fault-script", value: "<s>", field: "",
+        help: "scripted node faults, e.g. \"5:0:slow:4,20:1:down\"",
+        set: |c, v| FaultScript::parse(v).map(|s| c.fault_script = Some(s)).map_err(bad),
+        show: unset },
+    Flag { name: "--imprecise-lru", value: "", field: "precise_lru",
+        help: "fault-order LRU (no accessed-bit scans)",
+        set: |c, _| switch(c, |c| c.config.precise_lru = false),
+        show: unset },
+    Flag { name: "--reclaim-window", value: "<ms>", field: "trace_assisted_reclaim",
+        help: "trace-assisted reclaim: pages hot within the window get a second chance",
+        set: |c, v| num(v).map(|ms| c.config.trace_assisted_reclaim = Some(Nanos::from_millis(ms))),
+        show: |c| c.config.trace_assisted_reclaim.map(|w| (w.as_nanos() / 1_000_000).to_string()) },
+    Flag { name: "--remote-capacity", value: "<pages>", field: "remote_capacity_pages",
+        help: "cap the remote memory node",
+        set: |c, v| num(v).map(|n| c.config.remote_capacity_pages = Some(n)),
+        show: |c| c.config.remote_capacity_pages.map(|n| n.to_string()) },
+    Flag { name: "--timeline", value: "<accesses>", field: "timeline_every",
+        help: "print fault counts per window of N accesses, 0 = off",
+        set: |c, v| num(v).map(|n| c.config.timeline_every = n),
+        show: |c| Some(c.config.timeline_every.to_string()) },
+    Flag { name: "--obs-level", value: "<l>", field: "obs_level",
+        help: "off | counters | full",
+        set: |c, v| pick(v, ObsLevel::parse).map(|l| c.config.obs_level = l),
+        show: |c| Some(c.config.obs_level.label().to_string()) },
+    Flag { name: "--trace-out", value: "<file>", field: "",
+        help: "write a Chrome/Perfetto trace (implies --obs-level full)",
+        set: |c, v| path(v).map(|p| c.trace_out = p),
+        show: |c| c.trace_out.clone() },
+    Flag { name: "--metrics-json", value: "<file>", field: "",
+        help: "write counters + latency percentiles as JSON",
+        set: |c, v| path(v).map(|p| c.metrics_json = p),
+        show: |c| c.metrics_json.clone() },
+    Flag { name: "--timeline-out", value: "<file>", field: "",
+        help: "write timeline samples as CSV (every 1000 accesses unless --timeline)",
+        set: |c, v| path(v).map(|p| c.timeline_out = p),
+        show: |c| c.timeline_out.clone() },
+    Flag { name: "--prof-json", value: "<file>", field: "",
+        help: "write the host self-profile (time + allocs per span) as JSON",
+        set: |c, v| path(v).map(|p| c.prof_json = p),
+        show: |c| c.prof_json.clone() },
+    Flag { name: "--prof-folded", value: "<file>", field: "",
+        help: "write the host self-profile as collapsed stacks (flamegraph input)",
+        set: |c, v| path(v).map(|p| c.prof_folded = p),
+        show: |c| c.prof_folded.clone() },
+    Flag { name: "--list", value: "", field: "",
+        help: "list workloads and exit",
+        set: |_, _| Err(Stop::List),
+        show: unset },
+    Flag { name: "--help", value: "", field: "",
+        help: "show this message (also -h)",
+        set: |_, _| Err(Stop::Help),
+        show: unset },
+];
+
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Ties [`FLAGS`] to `SimConfig` at compile time. The destructure has
+/// no `..`, so a new `SimConfig` field fails to compile until it is
+/// listed here; the build then fails until a flag sets it. A flag
+/// naming a field that does not exist, or a flag listed twice, fails
+/// the build too.
+const _: () = {
+    macro_rules! fields {
+        ($($field:ident),* $(,)?) => {{
+            const fn _exhaustive(c: &SimConfig) {
+                let SimConfig { $($field: _),* } = c;
+            }
+            [$(stringify!($field)),*]
+        }};
+    }
+    let fields = fields!(
+        llc,
+        hpd,
+        rpt,
+        rdma,
+        fabric,
+        latency,
+        system,
+        slack_frames,
+        llc_hit,
+        channels,
+        trace_assisted_reclaim,
+        timeline_every,
+        reclaim_in_advance,
+        remote_capacity_pages,
+        precise_lru,
+        obs_level,
+    );
+    let mut i = 0;
+    while i < fields.len() {
+        let mut j = 0;
+        while j < FLAGS.len() && !same(FLAGS[j].field, fields[i]) {
+            j += 1;
+        }
+        assert!(j < FLAGS.len(), "a SimConfig field has no flag in FLAGS");
+        i += 1;
+    }
+    let mut j = 0;
+    while j < FLAGS.len() {
+        let mut i = 0;
+        while i < fields.len() && !same(FLAGS[j].field, fields[i]) {
+            i += 1;
+        }
+        assert!(
+            FLAGS[j].field.is_empty() || i < fields.len(),
+            "a flag names a field SimConfig does not have"
+        );
+        let mut k = j + 1;
+        while k < FLAGS.len() {
+            assert!(
+                !same(FLAGS[j].name, FLAGS[k].name),
+                "a flag is listed twice"
+            );
+            k += 1;
+        }
+        j += 1;
+    }
+};
+
+/// Applies `args` to [`Cli::default`] through [`FLAGS`], then settles
+/// the settings that depend on more than one flag.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, Stop> {
+    let mut cli = Cli::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let name = if arg == "-h" { "--help" } else { arg.as_str() };
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| bad(format!("unknown flag {arg}")))?;
+        let value = match flag.value {
+            "" => String::new(),
+            _ => args
+                .next()
+                .ok_or_else(|| bad(format!("missing value for {name}")))?,
+        };
+        (flag.set)(&mut cli, &value).map_err(|stop| match stop {
+            Stop::Bad(why) => bad(format!("{name}: {why}")),
+            other => other,
+        })?;
+    }
+    if let SystemConfig::Hopp { config, .. } = &mut cli.config.system {
+        *config = cli.hopp;
+    }
+    // --trace-out needs the event stream.
+    if cli.trace_out.is_some() && !cli.config.obs_level.events() {
+        cli.config.obs_level = ObsLevel::Full;
+    }
+    // --timeline-out needs samples: default to one per 1000 accesses.
+    if cli.timeline_out.is_some() && cli.config.timeline_every == 0 {
+        cli.config.timeline_every = 1_000;
+    }
+    Ok(cli)
+}
+
+/// The `--help` text, rendered from [`FLAGS`]: run flags first, then
+/// the flags that set the simulated machine.
+fn usage() -> String {
+    let defaults = Cli::default();
+    let mut out = String::from("usage: hoppsim [options]\n");
+    for (title, machine) in [("run", false), ("machine (docs/config.md)", true)] {
+        let _ = write!(out, "\n{title}:");
+        for f in FLAGS.iter().filter(|f| f.field.is_empty() != machine) {
+            let head = format!("{} {}", f.name, f.value);
+            let _ = write!(out, "\n  {head:<25} {}", f.help);
+            if let Some(default) = (f.show)(&defaults) {
+                let _ = write!(out, " (default {default})");
+            }
+        }
+    }
+    out
+}
+
+fn print_catalogue() {
+    println!("{:<13} {:>6} {:>5}  model", "workload", "GB", "cores");
+    for k in WorkloadKind::ALL {
+        println!(
+            "{:<13} {:>6} {:>5}  {}",
+            k.name(),
+            k.paper_footprint_gb(),
+            k.paper_cores(),
+            k.description()
+        );
+    }
+}
+
+fn system_by_name(name: &str) -> Option<SystemConfig> {
+    if let Some(depth) = name.strip_prefix("depth-") {
+        return Some(SystemConfig::Baseline(BaselineKind::DepthN(
+            depth.parse().ok()?,
+        )));
+    }
+    Some(match name {
+        "hopp" => SystemConfig::hopp_default(),
+        "fastswap" => SystemConfig::Baseline(BaselineKind::Fastswap),
+        "leap" => SystemConfig::Baseline(BaselineKind::Leap),
+        "vma" => SystemConfig::Baseline(BaselineKind::Vma),
+        "no-prefetch" | "none" => SystemConfig::Baseline(BaselineKind::NoPrefetch),
+        _ => return None,
+    })
 }
 
 fn workload_by_name(name: &str) -> Option<WorkloadKind> {
@@ -138,234 +504,6 @@ fn slug(s: &str) -> String {
     s.to_ascii_lowercase().replace(['-', '_'], "")
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hoppsim [options]\n\
-         \n  --workload <name>    one of the 15 paper workloads (--list)\
-         \n  --system <name>      hopp | fastswap | leap | vma | no-prefetch | depth-<N>\
-         \n  --ratio <f>          local memory / footprint (default 0.5)\
-         \n  --footprint <pages>  heap size in 4 KB pages (default 4096)\
-         \n  --seed <n>           workload RNG seed (default 42)\
-         \n  --channels <n>       interleaved memory channels (default 1)\
-         \n  --llc-kb <n>         LLC capacity in KiB (default 2048)\
-         \n  --llc-hit-ns <n>     LLC hit cost in ns (default 1)\
-         \n  --hpd-threshold <n>  HPD hot-page threshold N (default 16)\
-         \n  --rpt-kb <n>         RPT cache capacity in KiB (default 64)\
-         \n  --slack-frames <n>   frame headroom beyond cgroup limits (default 512)\
-         \n  --reclaim-cost-ns <n> per-page reclaim cost in ns (default 3000)\
-         \n  --direct-reclaim     charge reclaim to the faulting path (pre-v5.8)\
-         \n  --intensity <n>      pages per hot page (hopp only, default 1)\
-         \n  --offset <i>         pin the prefetch offset (hopp only)\
-         \n  --huge-batch         enable 2 MB batched prefetch (hopp only)\
-         \n  --markov             use the Markov trainer (hopp only)\
-         \n  --record <file>      dump the workload's page trace and exit\
-         \n  --replay <file>      run the simulation from a recorded trace\
-         \n  --scenario <file>    run a scenario DSL file instead of --workload (docs/scenarios.md)\
-         \n  --record-trace <file> capture the run's accesses as a .hst trace, then run normally\
-         \n  --replay-trace <file> replay a .hst trace bit-identically (ignores --workload)\
-         \n  --volatile           periodic 8x network congestion bursts\
-         \n  --jitter <mode>      bursty | off (same as --volatile, default off)\
-         \n  --mem-nodes <n>      memory nodes in the remote pool (default 1)\
-         \n  --placement <p>      hash | rr | stream page placement (default hash)\
-         \n  --replication <r>    replicas per page, 1..=nodes (default 1)\
-         \n  --fault-script <s>   scripted node faults, e.g. \"5:0:slow:4,20:1:down\"\
-         \n  --imprecise-lru      fault-order LRU (no accessed-bit scans)\
-         \n  --reclaim-window <ms> trace-assisted reclaim hot window\
-         \n  --remote-capacity <pages> cap the remote memory node\
-         \n  --timeline <accesses> print fault counts per window of N accesses\
-         \n  --obs-level <l>      off | counters | full (default counters)\
-         \n  --trace-out <file>   write a Chrome/Perfetto trace (implies full)\
-         \n  --metrics-json <file> write counters + latency percentiles as JSON\
-         \n  --timeline-out <file> write timeline samples as CSV\
-         \n  --prof-json <file>   write the host self-profile (time + allocs per span) as JSON\
-         \n  --prof-folded <file> write the host self-profile as collapsed stacks (flamegraph input)\
-         \n  --list               list workloads and exit\
-         \n  --help               show this message"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--workload" => {
-                let v = value("--workload");
-                args.workload = workload_by_name(&v).unwrap_or_else(|| {
-                    eprintln!("unknown workload {v:?} (try --list)");
-                    usage()
-                });
-            }
-            "--system" => args.system = value("--system"),
-            "--ratio" => args.ratio = value("--ratio").parse().unwrap_or_else(|_| usage()),
-            "--footprint" => {
-                args.footprint = value("--footprint").parse().unwrap_or_else(|_| usage());
-            }
-            "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--channels" => args.channels = value("--channels").parse().unwrap_or_else(|_| usage()),
-            "--llc-kb" => {
-                args.llc_kb = Some(value("--llc-kb").parse().unwrap_or_else(|_| usage()));
-            }
-            "--llc-hit-ns" => {
-                args.llc_hit_ns = Some(value("--llc-hit-ns").parse().unwrap_or_else(|_| usage()));
-            }
-            "--hpd-threshold" => {
-                args.hpd_threshold =
-                    Some(value("--hpd-threshold").parse().unwrap_or_else(|_| usage()));
-            }
-            "--rpt-kb" => args.rpt_kb = Some(value("--rpt-kb").parse().unwrap_or_else(|_| usage())),
-            "--slack-frames" => {
-                args.slack_frames =
-                    Some(value("--slack-frames").parse().unwrap_or_else(|_| usage()));
-            }
-            "--reclaim-cost-ns" => {
-                args.reclaim_cost_ns = Some(
-                    value("--reclaim-cost-ns")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                );
-            }
-            "--direct-reclaim" => args.direct_reclaim = true,
-            "--intensity" => {
-                args.intensity = value("--intensity").parse().unwrap_or_else(|_| usage());
-            }
-            "--offset" => {
-                args.fixed_offset = Some(value("--offset").parse().unwrap_or_else(|_| usage()));
-            }
-            "--huge-batch" => args.huge_batch = true,
-            "--markov" => args.markov = true,
-            "--record" => args.record = Some(value("--record")),
-            "--replay" => args.replay = Some(value("--replay")),
-            "--scenario" => args.scenario = Some(value("--scenario")),
-            "--record-trace" => args.record_trace = Some(value("--record-trace")),
-            "--replay-trace" => args.replay_trace = Some(value("--replay-trace")),
-            "--volatile" => args.volatile = true,
-            "--jitter" => {
-                let v = value("--jitter");
-                args.volatile = match v.as_str() {
-                    "bursty" => true,
-                    "off" => false,
-                    _ => {
-                        eprintln!("unknown jitter mode {v:?} (bursty | off)");
-                        usage();
-                    }
-                };
-            }
-            "--mem-nodes" => {
-                args.mem_nodes = value("--mem-nodes").parse().unwrap_or_else(|_| usage());
-            }
-            "--placement" => {
-                let v = value("--placement");
-                args.placement = PlacementKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown placement {v:?} (hash | rr | stream)");
-                    usage()
-                });
-            }
-            "--replication" => {
-                args.replication = value("--replication").parse().unwrap_or_else(|_| usage());
-            }
-            "--fault-script" => {
-                let v = value("--fault-script");
-                args.fault_script = Some(FaultScript::parse(&v).unwrap_or_else(|e| {
-                    eprintln!("bad fault script: {e}");
-                    usage()
-                }));
-            }
-            "--imprecise-lru" => args.imprecise_lru = true,
-            "--reclaim-window" => {
-                args.reclaim_window_ms = Some(
-                    value("--reclaim-window")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                );
-            }
-            "--remote-capacity" => {
-                args.remote_capacity = Some(
-                    value("--remote-capacity")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                );
-            }
-            "--timeline" => {
-                args.timeline = Some(value("--timeline").parse().unwrap_or_else(|_| usage()));
-            }
-            "--obs-level" => {
-                let v = value("--obs-level");
-                args.obs_level = Some(ObsLevel::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown obs level {v:?} (off | counters | full)");
-                    usage()
-                }));
-            }
-            "--trace-out" => args.trace_out = Some(value("--trace-out")),
-            "--metrics-json" => args.metrics_json = Some(value("--metrics-json")),
-            "--timeline-out" => args.timeline_out = Some(value("--timeline-out")),
-            "--prof-json" => args.prof_json = Some(value("--prof-json")),
-            "--prof-folded" => args.prof_folded = Some(value("--prof-folded")),
-            "--list" => {
-                println!("{:<13} {:>6} {:>5}  model", "workload", "GB", "cores");
-                for k in WorkloadKind::ALL {
-                    println!(
-                        "{:<13} {:>6} {:>5}  {}",
-                        k.name(),
-                        k.paper_footprint_gb(),
-                        k.paper_cores(),
-                        k.description()
-                    );
-                }
-                std::process::exit(0);
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-    args
-}
-
-fn system_of(args: &Args) -> SystemConfig {
-    if let Some(depth) = args.system.strip_prefix("depth-") {
-        let n: usize = depth.parse().unwrap_or_else(|_| usage());
-        return SystemConfig::Baseline(BaselineKind::DepthN(n));
-    }
-    match args.system.as_str() {
-        "fastswap" => SystemConfig::Baseline(BaselineKind::Fastswap),
-        "leap" => SystemConfig::Baseline(BaselineKind::Leap),
-        "vma" => SystemConfig::Baseline(BaselineKind::Vma),
-        "no-prefetch" | "none" => SystemConfig::Baseline(BaselineKind::NoPrefetch),
-        "hopp" => {
-            let policy = PolicyConfig {
-                intensity: args.intensity,
-                fixed_offset: args.fixed_offset,
-                huge_batch: args.huge_batch.then(HugeBatchConfig::default),
-                ..PolicyConfig::default()
-            };
-            let trainer = if args.markov {
-                TrainerKind::Markov(MarkovConfig::default())
-            } else {
-                TrainerKind::ThreeTier
-            };
-            SystemConfig::hopp_with(HoppConfig {
-                policy,
-                trainer,
-                ..HoppConfig::default()
-            })
-        }
-        other => {
-            eprintln!("unknown system {other:?}");
-            usage();
-        }
-    }
-}
-
 /// A fatal run error (lost page, exhausted pool) ends the CLI with the
 /// error's full context on stderr and a non-zero exit code. Takes the
 /// error by value to slot into `unwrap_or_else` directly.
@@ -375,13 +513,13 @@ fn fail_run(e: hopp_types::Error) -> SimReport {
     std::process::exit(1);
 }
 
-fn print_report(args: &Args, label: &str, local_ns: f64, r: &SimReport) {
+fn print_report(cli: &Cli, label: &str, local_ns: f64, r: &SimReport) {
     let normalized = local_ns / r.completion.as_nanos() as f64;
     println!("workload          {label}");
     println!(
         "system            {} ({:.0}% local)",
         r.system,
-        args.ratio * 100.0
+        cli.ratio * 100.0
     );
     println!("completion        {}", r.completion);
     println!("normalized perf   {normalized:.3}");
@@ -480,30 +618,30 @@ fn print_report(args: &Args, label: &str, local_ns: f64, r: &SimReport) {
 }
 
 /// True when the run should carry the host self-profiler.
-fn profiling(args: &Args) -> bool {
-    args.prof_json.is_some() || args.prof_folded.is_some()
+fn profiling(cli: &Cli) -> bool {
+    cli.prof_json.is_some() || cli.prof_folded.is_some()
 }
 
 /// Arms the profiler for the measured run (a no-op when no `--prof-*`
 /// flag was given). Span events — needed only to merge host spans onto
 /// the Chrome trace — are retained only when a trace is requested.
-fn prof_begin(args: &Args, workload: &str) {
-    if profiling(args) {
-        hopp_prof::enable(args.trace_out.is_some());
-        hopp_prof::set_key(workload, &args.system, "run");
+fn prof_begin(cli: &Cli, workload: &str) {
+    if profiling(cli) {
+        hopp_prof::enable(cli.trace_out.is_some());
+        hopp_prof::set_key(workload, cli.config.system.name(), "run");
     }
 }
 
 /// Writes the side outputs (`--trace-out`, `--metrics-json`,
 /// `--timeline-out`, `--prof-json`, `--prof-folded`) after a run.
-fn write_outputs(args: &Args, r: &SimReport, prof: Option<&hopp_prof::ProfReport>) {
+fn write_outputs(cli: &Cli, r: &SimReport, prof: Option<&hopp_prof::ProfReport>) {
     let write = |path: &str, contents: String, what: &str| {
         if let Err(e) = std::fs::write(path, contents) {
             eprintln!("writing {what} to {path}: {e}");
             std::process::exit(1);
         }
     };
-    if let Some(path) = &args.trace_out {
+    if let Some(path) = &cli.trace_out {
         // Host profiler spans ride along as a second process ("host")
         // next to the simulated-time tracks.
         let extra = prof.map(hopp_prof::ProfReport::chrome_trace_fragment);
@@ -516,16 +654,16 @@ fn write_outputs(args: &Args, r: &SimReport, prof: Option<&hopp_prof::ProfReport
             r.obs.dropped_events
         );
     }
-    if let Some(path) = &args.metrics_json {
+    if let Some(path) = &cli.metrics_json {
         write(path, r.metrics_json(), "metrics");
         println!("metrics           -> {path}");
     }
-    if let Some(path) = &args.timeline_out {
+    if let Some(path) = &cli.timeline_out {
         write(path, r.timeline_csv(), "timeline");
         println!("timeline          {} samples -> {path}", r.timeline.len());
     }
     if let Some(p) = prof {
-        if let Some(path) = &args.prof_json {
+        if let Some(path) = &cli.prof_json {
             write(path, p.to_json(), "profile");
             println!(
                 "profile           {} spans, {} of host time -> {path}",
@@ -533,296 +671,161 @@ fn write_outputs(args: &Args, r: &SimReport, prof: Option<&hopp_prof::ProfReport
                 hopp_types::Nanos::from_nanos(p.attributed_ns())
             );
         }
-        if let Some(path) = &args.prof_folded {
+        if let Some(path) = &cli.prof_folded {
             write(path, p.to_folded(), "folded profile");
             println!("folded profile    -> {path} (feed to flamegraph.pl / inferno)");
         }
     }
 }
 
-use hopp_sim::runner::SOLO_PID;
+/// Where a run's accesses come from.
+enum Origin {
+    Catalogue(WorkloadKind),
+    Scenario(Scenario),
+    Trace(HstTrace),
+}
 
-/// Builds a fresh copy of the run's access stream (catalogue workload
-/// or `--scenario`); streams are deterministic, so every instance
-/// yields the same sequence.
-fn build_stream(args: &Args, scenario: Option<&Scenario>, footprint: u64) -> Box<dyn AccessStream> {
-    match scenario {
-        Some(s) => s.spec.build(&s.name, SOLO_PID, footprint, args.seed),
-        None => args.workload.build(SOLO_PID, args.footprint, args.seed),
+/// The run's access stream: its origin, the header a `.hst` recording
+/// of it carries (pid, footprint, seed, name) and its report label.
+struct Source {
+    origin: Origin,
+    header: HstHeader,
+    label: String,
+}
+
+impl Source {
+    /// Opens `--replay-trace`, else `--scenario`, else `--workload`.
+    /// Exits on an unreadable trace (1) or scenario (2).
+    fn open(cli: &Cli) -> Source {
+        if let Some(path) = &cli.replay_trace {
+            let trace = hst::read_file(Path::new(path)).unwrap_or_else(|e| {
+                eprintln!("replay-trace failed: {e}");
+                std::process::exit(1);
+            });
+            let h = trace.header.clone();
+            println!(
+                "replaying {} accesses ({path} recorded from {} at {} pages, seed {})\n",
+                trace.accesses.len(),
+                h.source,
+                h.footprint_pages,
+                h.seed
+            );
+            let label = format!(
+                "replay of {path} ({}, {} pages, seed {})",
+                h.source, h.footprint_pages, h.seed
+            );
+            return Source {
+                origin: Origin::Trace(trace),
+                header: h,
+                label,
+            };
+        }
+        let header = |source: &str, footprint_pages| HstHeader {
+            pid: SOLO_PID,
+            footprint_pages,
+            seed: cli.seed,
+            source: source.to_string(),
+        };
+        if let Some(path) = &cli.scenario {
+            let s = Scenario::from_file(Path::new(path)).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            });
+            let h = header(&s.name, s.spec.footprint.unwrap_or(cli.footprint));
+            let label = format!(
+                "{} (scenario, {} pages, seed {})",
+                h.source, h.footprint_pages, h.seed
+            );
+            return Source {
+                origin: Origin::Scenario(s),
+                header: h,
+                label,
+            };
+        }
+        let h = header(cli.workload.name(), cli.footprint);
+        let label = format!(
+            "{} ({} pages, seed {})",
+            h.source, h.footprint_pages, h.seed
+        );
+        Source {
+            origin: Origin::Catalogue(cli.workload),
+            header: h,
+            label,
+        }
+    }
+
+    /// A fresh copy of the stream; every copy yields the same accesses.
+    fn stream(&self) -> Box<dyn AccessStream> {
+        let h = &self.header;
+        match &self.origin {
+            Origin::Catalogue(k) => k.build(h.pid, h.footprint_pages, h.seed),
+            Origin::Scenario(s) => s.spec.build(&s.name, h.pid, h.footprint_pages, h.seed),
+            Origin::Trace(t) => Box::new(t.clone().into_stream()),
+        }
     }
 }
 
+/// The measured run: the configured machine on `source`, with the
+/// `--fault-script` attached when one is given.
+fn run(cli: &Cli, source: &Source) -> hopp_types::Result<SimReport> {
+    let h = &source.header;
+    let app = solo_app(h.pid, source.stream(), h.footprint_pages, cli.ratio);
+    let mut sim = Simulator::new(cli.config, vec![app])?;
+    if let Some(script) = &cli.fault_script {
+        sim.set_fault_script(script)?;
+    }
+    sim.run()
+}
+
 fn main() {
-    let args = parse_args();
+    let cli = parse(std::env::args().skip(1)).unwrap_or_else(|stop| stop.exit());
+    let source = Source::open(&cli);
+    let h = &source.header;
 
-    let scenario = args.scenario.as_ref().map(|p| {
-        Scenario::from_file(Path::new(p)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    });
-    let source_footprint = scenario
-        .as_ref()
-        .and_then(|s| s.spec.footprint)
-        .unwrap_or(args.footprint);
-
-    if let Some(path) = &args.record {
-        let mut stream = build_stream(&args, scenario.as_ref(), source_footprint);
-        let count = hopp_trace::pagefile::save_stream(path, &mut stream).unwrap_or_else(|e| {
-            eprintln!("record failed: {e}");
-            std::process::exit(1);
-        });
-        println!("recorded {count} page accesses to {path}");
-        return;
-    }
-
-    let system = system_of(&args);
-    // --trace-out needs the event stream: upgrade to `full` unless the
-    // user explicitly picked a level that already records events.
-    let mut obs_level = args.obs_level.unwrap_or_default();
-    if args.trace_out.is_some() && !obs_level.events() {
-        obs_level = ObsLevel::Full;
-    }
-    // --timeline-out needs samples: default to one per 1000 accesses.
-    let timeline_every = match args.timeline {
-        Some(n) => n,
-        None if args.timeline_out.is_some() => 1_000,
-        None => 0,
-    };
-    let mut config = SimConfig {
-        channels: args.channels,
-        rdma: if args.volatile {
-            hopp_net::RdmaConfig::volatile()
-        } else {
-            hopp_net::RdmaConfig::default()
-        },
-        fabric: FabricConfig {
-            nodes: args.mem_nodes,
-            placement: args.placement,
-            replication: args.replication,
-            ..FabricConfig::default()
-        },
-        precise_lru: !args.imprecise_lru,
-        trace_assisted_reclaim: args.reclaim_window_ms.map(hopp_types::Nanos::from_millis),
-        remote_capacity_pages: args.remote_capacity,
-        timeline_every,
-        obs_level,
-        reclaim_in_advance: !args.direct_reclaim,
-        ..SimConfig::with_system(system)
-    };
-    if let Some(kb) = args.llc_kb {
-        config.llc.capacity_bytes = kb * 1024;
-    }
-    if let Some(ns) = args.llc_hit_ns {
-        config.llc_hit = hopp_types::Nanos::from_nanos(ns);
-    }
-    if let Some(n) = args.hpd_threshold {
-        config.hpd = hopp_hw::HpdConfig::with_threshold(n);
-    }
-    if let Some(kb) = args.rpt_kb {
-        config.rpt = hopp_hw::RptCacheConfig::with_kib(kb);
-    }
-    if let Some(n) = args.slack_frames {
-        config.slack_frames = n;
-    }
-    if let Some(ns) = args.reclaim_cost_ns {
-        config.latency.reclaim_per_page = hopp_types::Nanos::from_nanos(ns);
-    }
-
-    if let Some(path) = &args.replay {
-        let accesses = hopp_trace::pagefile::load_file(path).unwrap_or_else(|e| {
-            eprintln!("replay failed: {e}");
-            std::process::exit(1);
-        });
-        let distinct: std::collections::BTreeSet<u64> =
-            accesses.iter().map(|a| a.vpn.raw()).collect();
-        let pid = accesses
-            .first()
-            .map(|a| a.pid)
-            .unwrap_or(hopp_types::Pid::new(1));
-        let limit = ((distinct.len() as f64 * args.ratio).ceil() as usize).max(64);
-        println!(
-            "replaying {} accesses over {} distinct pages from {path}\n",
-            accesses.len(),
-            distinct.len()
-        );
-        let app = hopp_sim::AppSpec {
-            pid,
-            stream: Box::new(hopp_trace::TraceFileStream::new(accesses)),
-            limit_pages: limit,
-        };
-        let mut sim = hopp_sim::Simulator::new(config, vec![app]).unwrap_or_else(|e| {
-            eprintln!("bad configuration: {e}");
-            std::process::exit(2);
-        });
-        if let Some(script) = &args.fault_script {
-            sim.set_fault_script(script).unwrap_or_else(|e| {
-                eprintln!("bad fault script: {e}");
-                std::process::exit(2);
-            });
-        }
-        prof_begin(&args, "replay");
-        let report = sim.run().unwrap_or_else(fail_run);
-        let prof = hopp_prof::disable();
-        // Normalized against an all-local replay of the same trace.
-        let local_app = hopp_sim::AppSpec {
-            pid,
-            stream: Box::new(hopp_trace::TraceFileStream::open(path).unwrap_or_else(|e| {
-                eprintln!("replay failed: {e}");
-                std::process::exit(1);
-            })),
-            limit_pages: distinct.len() + 64,
-        };
-        let local = hopp_sim::Simulator::new(
-            SimConfig::with_system(hopp_sim::SystemConfig::Baseline(
-                hopp_sim::BaselineKind::NoPrefetch,
-            )),
-            vec![local_app],
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("bad configuration: {e}");
-            std::process::exit(2);
-        })
-        .run()
-        .unwrap_or_else(fail_run);
-        let label = format!("replay of {path}");
-        print_report(&args, &label, local.completion.as_nanos() as f64, &report);
-        write_outputs(&args, &report, prof.as_ref());
-        return;
-    }
-
-    // --replay-trace: run a recorded .hst bit-identically. The header
-    // carries the recorded pid/footprint, so the cgroup-limit math and
-    // the all-local normalization run match the recording session and
-    // the metrics JSON comes out byte-for-byte equal.
-    if let Some(path) = &args.replay_trace {
-        let load = || {
-            hst::read_file(Path::new(path)).unwrap_or_else(|e| {
-                eprintln!("replay-trace failed: {e}");
-                std::process::exit(1);
-            })
-        };
-        let trace = load();
-        let header = trace.header.clone();
-        println!(
-            "replaying {} accesses ({} recorded from {} at {} pages, seed {})\n",
-            trace.accesses.len(),
-            path,
-            header.source,
-            header.footprint_pages,
-            header.seed
-        );
-        prof_begin(&args, "replay-trace");
-        let report = run_stream_with(
-            config,
-            header.pid,
-            Box::new(trace.into_stream()),
-            header.footprint_pages,
-            args.ratio,
-        )
-        .unwrap_or_else(fail_run);
-        let prof = hopp_prof::disable();
-        let local = run_stream_with(
-            SimConfig::with_system(SystemConfig::Baseline(BaselineKind::NoPrefetch)),
-            header.pid,
-            Box::new(load().into_stream()),
-            header.footprint_pages,
-            1.25,
-        )
-        .unwrap_or_else(fail_run);
-        let label = format!(
-            "replay of {path} ({}, {} pages, seed {})",
-            header.source, header.footprint_pages, header.seed
-        );
-        print_report(&args, &label, local.completion.as_nanos() as f64, &report);
-        write_outputs(&args, &report, prof.as_ref());
-        return;
-    }
-
-    let (label, source_name, footprint) = match &scenario {
-        Some(s) => (
-            format!(
-                "{} (scenario, {} pages, seed {})",
-                s.name, source_footprint, args.seed
-            ),
-            s.name.clone(),
-            source_footprint,
-        ),
-        None => (
-            format!(
-                "{} ({} pages, seed {})",
-                args.workload.name(),
-                args.footprint,
-                args.seed
-            ),
-            args.workload.name().to_string(),
-            args.footprint,
-        ),
-    };
-
-    // --record-trace: capture a fresh copy of the access stream to disk,
-    // then fall through to the normal run. Streams are deterministic, so
-    // draining a second instance records exactly what the run consumes.
-    if let Some(path) = &args.record_trace {
-        let header = HstHeader {
-            pid: SOLO_PID,
-            footprint_pages: footprint,
-            seed: args.seed,
-            source: source_name.clone(),
-        };
-        let mut stream = build_stream(&args, scenario.as_ref(), footprint);
-        let n = hst::record_file(Path::new(path), &header, &mut *stream).unwrap_or_else(|e| {
+    // --record-trace: capture a fresh copy of the access stream first;
+    // streams are deterministic, so the recording is exactly what the
+    // run consumes and its replay reproduces the run byte for byte.
+    if let Some(path) = &cli.record_trace {
+        let n = hst::record_file(Path::new(path), h, &mut *source.stream()).unwrap_or_else(|e| {
             eprintln!("record-trace failed: {e}");
             std::process::exit(1);
         });
         println!("recorded {n} accesses to {path} (.hst)\n");
     }
 
+    // The all-local reference run (`CT_local`) for normalized perf.
     let local = run_stream_with(
         SimConfig::with_system(SystemConfig::Baseline(BaselineKind::NoPrefetch)),
-        SOLO_PID,
-        build_stream(&args, scenario.as_ref(), footprint),
-        footprint,
+        h.pid,
+        source.stream(),
+        h.footprint_pages,
         1.25,
     )
     .unwrap_or_else(fail_run);
-    // Profile only the measured run, not the all-local normalization run.
-    prof_begin(&args, &source_name);
-    let report = match (&scenario, &args.fault_script) {
-        (None, Some(script)) => run_workload_with_faults(
-            config,
-            args.workload,
-            args.footprint,
-            args.seed,
-            args.ratio,
-            script,
-        ),
-        (None, None) => {
-            run_workload_with(config, args.workload, args.footprint, args.seed, args.ratio)
-        }
-        (Some(_), script) => {
-            if script.is_some() {
-                eprintln!("--fault-script is not supported with --scenario");
-                std::process::exit(2);
-            }
-            run_stream_with(
-                config,
-                SOLO_PID,
-                build_stream(&args, scenario.as_ref(), footprint),
-                footprint,
-                args.ratio,
-            )
-        }
-    }
-    .unwrap_or_else(fail_run);
+    // Profile only the measured run, not the normalization run.
+    prof_begin(&cli, &h.source);
+    let report = run(&cli, &source).unwrap_or_else(fail_run);
     let prof = hopp_prof::disable();
-    print_report(&args, &label, local.completion.as_nanos() as f64, &report);
-    write_outputs(&args, &report, prof.as_ref());
+    print_report(
+        &cli,
+        &source.label,
+        local.completion.as_nanos() as f64,
+        &report,
+    );
+    write_outputs(&cli, &report, prof.as_ref());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Cli, Stop> {
+        parse(args.iter().map(|a| a.to_string()))
+    }
+
+    fn repo_file(rel: &str) -> String {
+        format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"))
+    }
 
     #[test]
     fn workload_names_resolve_with_any_casing() {
@@ -850,20 +853,159 @@ mod tests {
 
     #[test]
     fn system_parsing_covers_depth_variants() {
-        let mut args = Args {
-            system: "depth-16".to_string(),
-            ..Args::default()
-        };
         assert!(matches!(
-            system_of(&args),
-            SystemConfig::Baseline(BaselineKind::DepthN(16))
+            system_by_name("depth-16"),
+            Some(SystemConfig::Baseline(BaselineKind::DepthN(16)))
         ));
-        args.system = "fastswap".to_string();
         assert!(matches!(
-            system_of(&args),
-            SystemConfig::Baseline(BaselineKind::Fastswap)
+            system_by_name("fastswap"),
+            Some(SystemConfig::Baseline(BaselineKind::Fastswap))
         ));
-        args.system = "hopp".to_string();
-        assert!(matches!(system_of(&args), SystemConfig::Hopp { .. }));
+        assert!(matches!(
+            system_by_name("hopp"),
+            Some(SystemConfig::Hopp { .. })
+        ));
+        assert_eq!(system_by_name("depth-x"), None);
+    }
+
+    /// The `docs/config.md` flag table, as the docs test expects it.
+    fn docs_table() -> String {
+        let defaults = Cli::default();
+        let mut out =
+            String::from("| flag | default | `SimConfig` field | meaning |\n|---|---|---|---|\n");
+        for f in FLAGS {
+            let flag = format!("{} {}", f.name, f.value);
+            let default = match (f.show)(&defaults) {
+                Some(d) => format!("`{d}`"),
+                None => "—".to_string(),
+            };
+            let field = match f.field {
+                "" => "—".to_string(),
+                field => format!("`{field}`"),
+            };
+            let help = f.help.replace('|', "\\|");
+            let _ = writeln!(
+                out,
+                "| `{}` | {default} | {field} | {help} |",
+                flag.trim_end()
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn docs_config_table_is_the_generated_one() {
+        const BEGIN: &str = "<!-- BEGIN flag table -->\n";
+        const END: &str = "<!-- END flag table -->";
+        let docs = std::fs::read_to_string(repo_file("docs/config.md")).unwrap();
+        let start = docs
+            .find(BEGIN)
+            .expect("docs/config.md has the BEGIN marker")
+            + BEGIN.len();
+        let end = docs.find(END).expect("docs/config.md has the END marker");
+        let want = docs_table();
+        assert!(
+            docs[start..end] == want,
+            "docs/config.md is stale; replace the text between its markers with:\n{want}"
+        );
+    }
+
+    #[test]
+    fn help_defaults_parse_back_to_the_defaults() {
+        let base = parse_strs(&[]).unwrap();
+        let defaults = Cli::default();
+        let help = usage();
+        for f in FLAGS {
+            match (f.show)(&defaults) {
+                // A shown default, passed explicitly, changes nothing.
+                Some(d) => {
+                    assert!(help.contains(&format!("(default {d})")), "{}", f.name);
+                    assert_eq!(
+                        parse_strs(&[f.name, &d]),
+                        Ok(base.clone()),
+                        "{} {d}",
+                        f.name
+                    );
+                }
+                // A switch is off by default: giving it changes the state.
+                None if f.value.is_empty() => {
+                    assert_ne!(parse_strs(&[f.name]), Ok(base.clone()), "{}", f.name);
+                }
+                None => {}
+            }
+        }
+    }
+
+    #[test]
+    fn retired_flags_are_unknown_and_exit_2() {
+        for flag in ["--record", "--replay", "--volatile"] {
+            let stop = parse_strs(&[flag, "x"]).unwrap_err();
+            assert_eq!(stop, Stop::Bad(format!("unknown flag {flag}")));
+            assert_eq!(stop.code(), 2);
+        }
+        assert_eq!(parse_strs(&["--list"]).unwrap_err().code(), 0);
+    }
+
+    #[test]
+    fn bad_values_name_their_flag() {
+        let stop = parse_strs(&["--hpd-threshold", "many"]).unwrap_err();
+        assert_eq!(
+            stop,
+            Stop::Bad("--hpd-threshold: not a number: \"many\"".into())
+        );
+        let stop = parse_strs(&["--seed"]).unwrap_err();
+        assert_eq!(stop, Stop::Bad("missing value for --seed".into()));
+    }
+
+    const FABRIC: [&str; 6] = [
+        "--mem-nodes",
+        "4",
+        "--replication",
+        "2",
+        "--fault-script",
+        "5:1:down",
+    ];
+
+    #[test]
+    fn scenario_runs_attach_the_fault_script() {
+        let scenario = repo_file("scenarios/ladder-stress.toml");
+        let mut args = vec!["--scenario", scenario.as_str()];
+        args.extend(FABRIC);
+        let cli = parse_strs(&args).unwrap();
+        let source = Source::open(&cli);
+        let via_cli = run(&cli, &source).unwrap();
+
+        let s = Scenario::from_file(Path::new(&scenario)).unwrap();
+        let footprint = s.spec.footprint.unwrap();
+        let stream = s.spec.build(&s.name, SOLO_PID, footprint, 42);
+        let mut sim =
+            Simulator::new(cli.config, vec![solo_app(SOLO_PID, stream, footprint, 0.5)]).unwrap();
+        sim.set_fault_script(&FaultScript::parse("5:1:down").unwrap())
+            .unwrap();
+        let direct = sim.run().unwrap();
+
+        assert!(direct.fabric.as_ref().unwrap().nodes[1].lost);
+        assert_eq!(via_cli.metrics_json(), direct.metrics_json());
+    }
+
+    #[test]
+    fn replayed_traces_keep_the_fault_script() {
+        let mut args = vec!["--footprint", "1024"];
+        args.extend(FABRIC);
+        let cli = parse_strs(&args).unwrap();
+        let recorded = Source::open(&cli);
+        let path = std::env::temp_dir().join(format!("hoppsim-test-{}.hst", std::process::id()));
+        hst::record_file(&path, &recorded.header, &mut *recorded.stream()).unwrap();
+
+        let shown = path.display().to_string();
+        args.extend(["--replay-trace", shown.as_str()]);
+        let replay_cli = parse_strs(&args).unwrap();
+        let replayed = Source::open(&replay_cli);
+        std::fs::remove_file(&path).unwrap();
+
+        let a = run(&cli, &recorded).unwrap();
+        let b = run(&replay_cli, &replayed).unwrap();
+        assert!(a.fabric.as_ref().unwrap().failovers > 0);
+        assert_eq!(a.metrics_json(), b.metrics_json());
     }
 }

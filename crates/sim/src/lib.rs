@@ -51,7 +51,7 @@ pub use config::{AppSpec, BaselineKind, SimConfig, SystemConfig};
 pub use hopp_fabric::{FabricConfig, FabricReport, FaultScript, PlacementKind};
 pub use report::{AppReport, Counters, ObsReport, SimReport};
 pub use runner::{
-    normalized_performance, run_local, run_stream_with, run_workload, run_workload_with,
-    run_workload_with_faults, speedup_over,
+    normalized_performance, run_local, run_stream_with, run_workload, run_workload_with, solo_app,
+    speedup_over,
 };
 pub use simulator::Simulator;

@@ -4,7 +4,6 @@
 //! `CT_local` is the completion time with the whole working set in
 //! local memory; *speedup* (§VI-D) is `1 − CT_system / CT_Fastswap`.
 
-use hopp_fabric::FaultScript;
 use hopp_trace::AccessStream;
 use hopp_types::{Pid, Result};
 use hopp_workloads::WorkloadKind;
@@ -71,9 +70,8 @@ pub fn run_workload_with(
 
 /// Runs an arbitrary pre-built access stream — a replayed `.hst` trace,
 /// a compiled scenario, or anything else implementing [`AccessStream`]
-/// — under the same measurement protocol as [`run_workload_with`]:
-/// `pid` must match the PID the stream emits, and the local-memory
-/// limit is `ceil(footprint_pages * mem_ratio)` clamped to ≥ 64 pages.
+/// — under the same measurement protocol as [`run_workload_with`]
+/// (see [`solo_app`]).
 ///
 /// # Errors
 ///
@@ -89,49 +87,34 @@ pub fn run_stream_with(
     footprint_pages: u64,
     mem_ratio: f64,
 ) -> Result<SimReport> {
-    assert!(mem_ratio > 0.0, "memory ratio must be positive");
-    let limit = ((footprint_pages as f64 * mem_ratio).ceil() as usize).max(64);
-    let app = AppSpec {
-        pid,
-        stream,
-        limit_pages: limit,
-    };
-    Simulator::new(config, vec![app])?.run()
+    Simulator::new(
+        config,
+        vec![solo_app(pid, stream, footprint_pages, mem_ratio)],
+    )?
+    .run()
 }
 
-/// [`run_workload_with`] plus a deterministic [`FaultScript`] attached
-/// to the memory pool before the run starts: the same script against
-/// the same seed replays byte-identically.
-///
-/// # Errors
-///
-/// Returns configuration validation errors, a script naming a node
-/// outside the pool, and fatal run errors — a fault-injection run that
-/// loses every replica of a page reports
-/// [`hopp_types::Error::PageUnreachable`] with the page and node
-/// context instead of panicking.
+/// The one application of a single-workload run: `pid` must match the
+/// PID the stream emits, and the local-memory limit is
+/// `ceil(footprint_pages * mem_ratio)` clamped to ≥ 64 pages. Build a
+/// [`Simulator`] from it directly to attach a fault script with
+/// [`Simulator::set_fault_script`] before the run.
 ///
 /// # Panics
 ///
 /// Panics if `mem_ratio` is not positive (experiment-code bug).
-pub fn run_workload_with_faults(
-    config: SimConfig,
-    kind: WorkloadKind,
+pub fn solo_app(
+    pid: Pid,
+    stream: Box<dyn AccessStream>,
     footprint_pages: u64,
-    seed: u64,
     mem_ratio: f64,
-    script: &FaultScript,
-) -> Result<SimReport> {
+) -> AppSpec {
     assert!(mem_ratio > 0.0, "memory ratio must be positive");
-    let limit = ((footprint_pages as f64 * mem_ratio).ceil() as usize).max(64);
-    let app = AppSpec {
-        pid: SOLO_PID,
-        stream: kind.build(SOLO_PID, footprint_pages, seed),
-        limit_pages: limit,
-    };
-    let mut sim = Simulator::new(config, vec![app])?;
-    sim.set_fault_script(script)?;
-    sim.run()
+    AppSpec {
+        pid,
+        stream,
+        limit_pages: ((footprint_pages as f64 * mem_ratio).ceil() as usize).max(64),
+    }
 }
 
 /// The all-local reference run (`CT_local`): limit ≥ footprint, no

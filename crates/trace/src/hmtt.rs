@@ -255,15 +255,16 @@ pub mod file {
         }
         let mut body = Vec::new();
         reader.read_to_end(&mut body)?;
-        if !body.len().is_multiple_of(8) {
+        let (records, tail) = body.as_chunks::<8>();
+        if !tail.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "truncated HMTT record",
             ));
         }
-        Ok(body
-            .chunks_exact(8)
-            .map(|c| HmttRecord::from_raw(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
+        Ok(records
+            .iter()
+            .map(|c| HmttRecord::from_raw(u64::from_le_bytes(*c)))
             .collect())
     }
 

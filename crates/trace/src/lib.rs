@@ -35,12 +35,10 @@
 
 pub mod hmtt;
 pub mod llc;
-pub mod pagefile;
 pub mod patterns;
 
 pub use hmtt::{HmttDecoder, HmttRecord, TraceRing};
 pub use llc::{LastLevelCache, LlcConfig, LlcStats};
-pub use pagefile::TraceFileStream;
 pub use patterns::{
     AccessStream, Chain, Interleaver, LadderStream, NoiseStream, RippleStream, SimpleStream,
 };

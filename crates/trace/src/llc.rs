@@ -171,11 +171,15 @@ impl LastLevelCache {
         }
 
         self.stats.misses += 1;
-        // Install, preferring an invalid way, else the LRU way.
-        let victim = set
+        // Install, preferring an invalid way, else the LRU way. `new`
+        // rejects zero-way geometries, so a victim always exists; a set
+        // with no ways could hold nothing and the access stays a miss.
+        let Some(victim) = set
             .iter_mut()
             .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("ways >= 1 by construction");
+        else {
+            return false;
+        };
         victim.tag = tag;
         victim.valid = true;
         victim.lru = self.clock;

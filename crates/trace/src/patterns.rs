@@ -521,16 +521,18 @@ impl Interleaver {
                     return None;
                 }
                 let mut pick = self.rng.gen_range(0..total);
-                for (idx, (&live, &w)) in self.live.iter().zip(&self.weights).enumerate() {
-                    if !live {
-                        continue;
-                    }
-                    if pick < u64::from(w) {
-                        return Some(idx);
-                    }
-                    pick -= u64::from(w);
-                }
-                unreachable!("weighted pick within total");
+                self.live
+                    .iter()
+                    .zip(&self.weights)
+                    .enumerate()
+                    .filter(|(_, (&live, _))| live)
+                    .find_map(|(idx, (_, &w))| {
+                        if pick < u64::from(w) {
+                            return Some(idx);
+                        }
+                        pick -= u64::from(w);
+                        None
+                    })
             }
         }
     }

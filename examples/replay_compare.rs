@@ -1,5 +1,5 @@
 //! Record once, replay everywhere: capture a workload's page trace to a
-//! file, then run every system on the *identical* access sequence.
+//! `.hst` file, then run every system on the *identical* access sequence.
 //!
 //! Replaying a fixed trace removes the last source of variation between
 //! systems (the workload itself), which is how apples-to-apples
@@ -10,20 +10,25 @@
 //! cargo run --release --example replay_compare
 //! ```
 
+use hopp::scn::{hst, HstHeader};
 use hopp::sim::{AppSpec, BaselineKind, SimConfig, Simulator, SystemConfig};
-use hopp::trace::pagefile;
-use hopp::trace::TraceFileStream;
 use hopp::types::Pid;
 use hopp::workloads::WorkloadKind;
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kind = WorkloadKind::NpbLu;
     let footprint = 4_096;
-    let path = std::env::temp_dir().join("hopp_replay_compare.trace");
+    let path = std::env::temp_dir().join("hopp_replay_compare.hst");
 
     // Record.
-    let mut stream = kind.build(Pid::new(1), footprint, 42);
-    let count = pagefile::save_stream(&path, &mut stream)?;
+    let header = HstHeader {
+        pid: Pid::new(1),
+        footprint_pages: footprint,
+        seed: 42,
+        source: kind.name().to_string(),
+    };
+    let mut stream = kind.build(header.pid, footprint, header.seed);
+    let count = hst::record_file(&path, &header, &mut *stream)?;
     println!(
         "recorded {count} accesses of {} to {}\n",
         kind.name(),
@@ -31,11 +36,12 @@ fn main() -> std::io::Result<()> {
     );
 
     // Replay under each system at 50% local memory.
-    let accesses = pagefile::load_file(&path)?;
-    let distinct = accesses
+    let trace = hst::read_file(&path)?;
+    let distinct = trace
+        .accesses
         .iter()
         .map(|a| a.vpn.raw())
-        .collect::<std::collections::HashSet<_>>()
+        .collect::<std::collections::BTreeSet<_>>()
         .len();
     let limit = distinct / 2;
 
@@ -70,7 +76,7 @@ fn main() -> std::io::Result<()> {
     ] {
         let app = AppSpec {
             pid: Pid::new(1),
-            stream: Box::new(TraceFileStream::open(&path)?),
+            stream: Box::new(trace.clone().into_stream()),
             limit_pages: if full_memory { distinct + 64 } else { limit },
         };
         let report = Simulator::new(SimConfig::with_system(system), vec![app])

@@ -12,42 +12,16 @@
 //! passes allocated in proportion to their fault count and this bound
 //! failed by an order of magnitude.
 
-// A `GlobalAlloc` impl is unavoidably `unsafe`; this one only counts
-// and delegates to the system allocator. Test-only code.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use hopp_prof::alloc::thread_allocs;
 use hopp_sim::{AppSpec, SimConfig, Simulator, SystemConfig};
 use hopp_trace::AccessStream;
 use hopp_types::{PageAccess, Pid, Vpn};
 
-/// Counts every heap allocation made by this test binary.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter has
-// no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Counts heap allocations per thread: the test harness runs the two
+/// tests on parallel threads, and a per-thread count keeps each test's
+/// measurement free of the other's allocations.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: hopp_prof::alloc::CountingAlloc = hopp_prof::alloc::CountingAlloc;
 
 /// Sweeps a fixed working set of `pages` pages sequentially, `passes`
 /// times. The footprint never changes after the first pass, so every
@@ -101,9 +75,9 @@ fn allocs_for(system: SystemConfig, passes: u64) -> u64 {
         limit_pages: PAGES as usize / 2,
     }];
     let sim = Simulator::new(config, apps).expect("config is valid");
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     let report = sim.run().expect("run succeeds");
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = thread_allocs();
     if passes > 1 {
         assert!(report.counters.major_faults > 0, "workload must swap");
     }

@@ -4,12 +4,30 @@
 //! failover instead of killing the run.
 
 use hopp::fabric::{FabricConfig, FaultScript, PlacementKind};
+use hopp::sim::runner::SOLO_PID;
 use hopp::sim::{
-    run_workload, run_workload_with, run_workload_with_faults, BaselineKind, SimConfig,
+    run_workload, run_workload_with, solo_app, BaselineKind, SimConfig, SimReport, Simulator,
     SystemConfig,
 };
-use hopp::types::{Error, NodeId};
+use hopp::types::{Error, NodeId, Result};
 use hopp::workloads::WorkloadKind;
+
+/// Runs `kind` (seed 42) at 50% local memory with `script` attached
+/// to the pool.
+fn run_with_faults(
+    config: SimConfig,
+    kind: WorkloadKind,
+    footprint_pages: u64,
+    script: &FaultScript,
+) -> Result<SimReport> {
+    let stream = kind.build(SOLO_PID, footprint_pages, 42);
+    let mut sim = Simulator::new(
+        config,
+        vec![solo_app(SOLO_PID, stream, footprint_pages, 0.5)],
+    )?;
+    sim.set_fault_script(script)?;
+    sim.run()
+}
 
 fn pool_config(nodes: usize, replication: usize, system: SystemConfig) -> SimConfig {
     SimConfig {
@@ -54,12 +72,10 @@ fn single_node_pool_is_bit_identical_to_the_plain_link() {
 fn fault_runs_replay_byte_identically() {
     let script = FaultScript::parse("2:0:slow:3:4,6:2:fail:2,9:1:down").unwrap();
     let run = || {
-        run_workload_with_faults(
+        run_with_faults(
             pool_config(4, 2, SystemConfig::hopp_default()),
             WorkloadKind::Kmeans,
             1_024,
-            42,
-            0.5,
             &script,
         )
         .unwrap()
@@ -74,12 +90,10 @@ fn fault_runs_replay_byte_identically() {
 fn node_loss_completes_via_failover() {
     // 20 ms is mid-run: pages already live on node 1 when it dies.
     let script = FaultScript::parse("20:1:down").unwrap();
-    let report = run_workload_with_faults(
+    let report = run_with_faults(
         pool_config(4, 2, SystemConfig::Baseline(BaselineKind::Fastswap)),
         WorkloadKind::Kmeans,
         2_048,
-        42,
-        0.5,
         &script,
     )
     .unwrap();
@@ -148,12 +162,10 @@ fn every_placement_policy_uses_all_nodes() {
 #[test]
 fn unreplicated_node_loss_is_a_typed_error() {
     let script = FaultScript::parse("20:1:down").unwrap();
-    let err = run_workload_with_faults(
+    let err = run_with_faults(
         pool_config(4, 1, SystemConfig::Baseline(BaselineKind::Fastswap)),
         WorkloadKind::Kmeans,
         2_048,
-        42,
-        0.5,
         &script,
     )
     .unwrap_err();

@@ -5,9 +5,9 @@
 use hopp::hw::rtl_rpt::{RptRtl, MSHR_ENTRIES};
 use hopp::hw::{HpdConfig, McPipeline, RptCacheConfig};
 use hopp::kernel::SwapDevice;
+use hopp::sim::runner::SOLO_PID;
 use hopp::sim::{
-    run_workload_with_faults, AppSpec, BaselineKind, FabricConfig, FaultScript, SimConfig,
-    Simulator, SystemConfig,
+    solo_app, AppSpec, BaselineKind, FabricConfig, FaultScript, SimConfig, Simulator, SystemConfig,
 };
 use hopp::trace::hmtt::{HmttRecord, TraceRing};
 use hopp::trace::llc::LlcConfig;
@@ -108,8 +108,10 @@ fn losing_every_replica_surfaces_page_unreachable_with_context() {
         ..SimConfig::with_system(SystemConfig::Baseline(BaselineKind::Fastswap))
     };
     let script = FaultScript::parse("20:0:down").unwrap();
-    let err = run_workload_with_faults(config, WorkloadKind::Kmeans, 2_048, 42, 0.5, &script)
-        .unwrap_err();
+    let stream = WorkloadKind::Kmeans.build(SOLO_PID, 2_048, 42);
+    let mut sim = Simulator::new(config, vec![solo_app(SOLO_PID, stream, 2_048, 0.5)]).unwrap();
+    sim.set_fault_script(&script).unwrap();
+    let err = sim.run().unwrap_err();
     let msg = err.to_string();
     match err {
         Error::PageUnreachable {
