@@ -21,8 +21,8 @@
 //! trace) only.
 //!
 //! This module is the one sanctioned home for threads in the
-//! workspace; `hopp-check`'s determinism rule bans `thread::spawn` /
-//! `thread::scope` everywhere else.
+//! workspace; `clippy.toml` bans `thread::spawn` / `thread::scope`
+//! everywhere else.
 //!
 //! [`Simulator`]: hopp_sim::Simulator
 
@@ -57,6 +57,10 @@ where
     let workers = threads.max(1).min(jobs.max(1));
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..jobs).map(|_| None).collect());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the lab pool is the one sanctioned home for threads; it aggregates in grid order"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {

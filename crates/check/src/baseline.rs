@@ -262,19 +262,19 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_the_line_number() {
-        let mut a = finding(Rule::PanicPolicy, "crates/hw/src/lib.rs", "uses `unwrap()`");
+        let mut a = finding(Rule::UnitHygiene, "crates/hw/src/lib.rs", "raw cast");
         let b = a.clone();
         a.line = 99;
         assert_eq!(fingerprint(&a), fingerprint(&b));
-        let c = finding(Rule::PanicPolicy, "crates/hw/src/lib.rs", "uses `expect()`");
+        let c = finding(Rule::UnitHygiene, "crates/hw/src/lib.rs", "new cast");
         assert_ne!(fingerprint(&a), fingerprint(&c));
     }
 
     #[test]
     fn fingerprint_separates_fields() {
         // "ab" + "c" must not collide with "a" + "bc".
-        let a = finding(Rule::Determinism, "ab", "c");
-        let b = finding(Rule::Determinism, "a", "bc");
+        let a = finding(Rule::DeterminismTaint, "ab", "c");
+        let b = finding(Rule::DeterminismTaint, "a", "bc");
         assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -282,14 +282,14 @@ mod tests {
     fn render_parse_round_trips() {
         let rep = report(
             vec![
-                finding(Rule::PanicPolicy, "crates/hw/src/lib.rs", "uses `unwrap()`"),
+                finding(Rule::UnitHygiene, "crates/hw/src/lib.rs", "raw cast"),
                 finding(
-                    Rule::UnsafeAudit,
-                    "crates/prof/src/alloc.rs",
-                    "bare `unsafe`",
+                    Rule::OrderingSensitivity,
+                    "crates/obs/src/lib.rs",
+                    "hash-order loop",
                 ),
             ],
-            &[("panic-policy", 11), ("unit-hygiene", 1)],
+            &[("unit-hygiene", 1)],
         );
         let base = Baseline::from_report(&rep);
         let parsed = Baseline::parse(&base.render()).unwrap();
@@ -303,9 +303,9 @@ mod tests {
         let base = Baseline::from_report(&report(vec![], &[]));
         let rep = report(
             vec![finding(
-                Rule::Determinism,
+                Rule::DeterminismTaint,
                 "crates/hw/src/lib.rs",
-                "uses `Instant`",
+                "`state.ns` absorbs `Instant`",
             )],
             &[],
         );
@@ -318,9 +318,9 @@ mod tests {
     fn a_fixed_finding_demands_a_baseline_update() {
         let old = report(
             vec![finding(
-                Rule::PanicPolicy,
+                Rule::UnitHygiene,
                 "crates/hw/src/lib.rs",
-                "uses `unwrap()`",
+                "raw cast",
             )],
             &[],
         );
@@ -334,16 +334,16 @@ mod tests {
     fn duplicate_findings_diff_as_a_multiset() {
         let two = report(
             vec![
-                finding(Rule::PanicPolicy, "crates/hw/src/lib.rs", "uses `unwrap()`"),
-                finding(Rule::PanicPolicy, "crates/hw/src/lib.rs", "uses `unwrap()`"),
+                finding(Rule::UnitHygiene, "crates/hw/src/lib.rs", "raw cast"),
+                finding(Rule::UnitHygiene, "crates/hw/src/lib.rs", "raw cast"),
             ],
             &[],
         );
         let one = report(
             vec![finding(
-                Rule::PanicPolicy,
+                Rule::UnitHygiene,
                 "crates/hw/src/lib.rs",
-                "uses `unwrap()`",
+                "raw cast",
             )],
             &[],
         );
@@ -354,15 +354,15 @@ mod tests {
 
     #[test]
     fn waiver_budget_ratchets_both_ways() {
-        let base = Baseline::from_report(&report(vec![], &[("panic-policy", 11)]));
-        let grew = base.diff(&report(vec![], &[("panic-policy", 12)]));
+        let base = Baseline::from_report(&report(vec![], &[("unit-hygiene", 11)]));
+        let grew = base.diff(&report(vec![], &[("unit-hygiene", 12)]));
         assert_eq!(grew.len(), 1);
         assert!(grew[0].contains("grew"), "{}", grew[0]);
-        let shrank = base.diff(&report(vec![], &[("panic-policy", 10)]));
+        let shrank = base.diff(&report(vec![], &[("unit-hygiene", 10)]));
         assert_eq!(shrank.len(), 1);
         assert!(shrank[0].contains("shrank"), "{}", shrank[0]);
         assert!(base
-            .diff(&report(vec![], &[("panic-policy", 11)]))
+            .diff(&report(vec![], &[("unit-hygiene", 11)]))
             .is_empty());
     }
 

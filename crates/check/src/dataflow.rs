@@ -1,8 +1,8 @@
 //! Scope-aware dataflow analyses over the token stream.
 //!
-//! The v1 checker was line-regex lexing: it could ban the identifier
-//! `Instant`, but not see the *value* of `Instant::now()` laundered
-//! through a `let` binding into sim state two lines later. The three
+//! Clippy's `disallowed_types` bans the type `Instant` in sim-critical
+//! code, but cannot see the *value* of `Instant::now()` laundered
+//! through a `let` binding into sim state two lines later. The two
 //! analyses here walk the [`crate::lexer::tokenize`] stream with an
 //! explicit brace-scope stack instead:
 //!
@@ -16,21 +16,17 @@
 //! * **ordering-sensitivity** — a `for` loop iterating an unordered
 //!   `HashMap`/`HashSet` binding whose body mutates state or emits
 //!   output that outlives the loop is flagged, workspace-wide: harness
-//!   crates escape the blanket `HashMap` ban, but artifact bytes they
+//!   crates escape clippy's `HashMap` ban, but artifact bytes they
 //!   write must still not depend on hash-iteration order. `hopp_ds`
 //!   types (`DetMap`, `PageMap`, `Lru`) and `BTreeMap`/`BTreeSet`
 //!   iterate deterministically and are never tracked.
-//! * **unsafe-audit** — every `unsafe` token must carry a `// SAFETY:`
-//!   comment on its own line or within the three lines above it,
-//!   workspace-wide (today only `crates/prof/src/alloc.rs` is allowed
-//!   `unsafe` at all, via `#![allow(unsafe_code)]`).
 //!
 //! The analyses are intentionally intra-file and heuristic (this is a
 //! lexer-level tool, not a type checker): they segment statements on
 //! `;` and braces, so exotic expression-level control flow may escape.
 //! What they claim, they claim exactly — every finding names the sink
 //! line and the origin of the offending value — and the fixture
-//! mini-workspaces in `tests/fixtures/{taintflow,orderflow,unsafeaudit}`
+//! mini-workspaces in `tests/fixtures/{taintflow,orderflow}`
 //! pin the behaviour file:line by file:line.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -737,53 +733,6 @@ fn mutating_call_root(toks: &[Tok], stmt: &[usize]) -> Option<usize> {
     None
 }
 
-/// Unsafe-audit: every `unsafe` token outside test code must carry a
-/// `SAFETY:` comment on its own line or within the three lines above.
-pub fn check_unsafe_audit(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
-    for (idx, line) in ctx.lexed.lines.iter().enumerate() {
-        if line.in_test || !contains_kw(&line.code, "unsafe") {
-            continue;
-        }
-        let lo = idx.saturating_sub(3);
-        let justified = ctx.lexed.lines[lo..=idx]
-            .iter()
-            .any(|l| l.comment.contains("SAFETY:"));
-        if !justified {
-            findings.push(Finding {
-                rule: Rule::UnsafeAudit,
-                file: ctx.rel.clone(),
-                line: idx + 1,
-                message: "`unsafe` without an adjacent `// SAFETY:` comment; state the \
-                          invariant that makes this sound on the line above"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Word-boundary keyword containment (local copy; `unsafe_code` in an
-/// attribute must not match).
-fn contains_kw(code: &str, kw: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(kw) {
-        let at = start + pos;
-        let before_ok = at == 0 || {
-            let c = code[..at].chars().next_back().unwrap_or(' ');
-            !(c.is_alphanumeric() || c == '_')
-        };
-        let end = at + kw.len();
-        let after_ok = end >= code.len() || {
-            let c = code[end..].chars().next().unwrap_or(' ');
-            !(c.is_alphanumeric() || c == '_')
-        };
-        if before_ok && after_ok {
-            return true;
-        }
-        start = end;
-    }
-    false
-}
-
 /// True when this 1-based line sits in `#[cfg(test)]`/`#[test]` code.
 fn line_in_test(ctx: &FileContext<'_>, line: usize) -> bool {
     ctx.lexed
@@ -923,24 +872,5 @@ pub fn tally(rows: &[(u64, u64)]) -> u64 {
             findings.is_empty(),
             "BTreeMap untracked, loop-local churn spared: {findings:?}"
         );
-    }
-
-    #[test]
-    fn unsafe_needs_an_adjacent_safety_comment() {
-        let src = "\
-pub fn a(p: *const u8) -> u8 {
-    // SAFETY: caller guarantees validity.
-    unsafe { *p }
-}
-pub fn b(p: *const u8) -> u8 {
-    unsafe { *p }
-}
-";
-        let (ctx, _) = ctx_for(src);
-        let mut findings = Vec::new();
-        check_unsafe_audit(&ctx, &mut findings);
-        let got: Vec<_> = findings.iter().map(|f| f.line).collect();
-        assert_eq!(got, [6]);
-        assert!(!contains_kw("#![allow(unsafe_code)]", "unsafe"));
     }
 }

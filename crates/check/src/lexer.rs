@@ -2,13 +2,13 @@
 //!
 //! The container this repo builds in has no crates.io access, so the
 //! checker cannot use `syn`. For the invariants `hopp-check` enforces
-//! (named-identifier bans, method-call bans, cast hygiene, and the v2
-//! dataflow analyses) a full AST is unnecessary. The lexer provides two
+//! (cast hygiene, crate-root lint lines and the dataflow analyses) a
+//! full AST is unnecessary. The lexer provides two
 //! views of a file:
 //!
 //! * a **line view**: for every source line, the *code* with comments
 //!   and literal contents blanked out (so `"HashMap"` in a string never
-//!   trips the determinism rule), the *comment text* (where waivers
+//!   trips the ordering rule), the *comment text* (where waivers
 //!   live), whether the line sits inside a `#[cfg(test)]` region or
 //!   `#[test]` function, and the brace-scope depth at the line start;
 //! * a **token view** ([`tokenize`]): the blanked code stream split

@@ -5,43 +5,35 @@
 //! replay: identical seeds and fault scripts must produce byte-identical
 //! reports. Tests catch regressions after the fact; this crate stops the
 //! common ways of breaking that contract from compiling into `main` at
-//! all, as machine-checkable rules over the whole workspace:
+//! all, as machine-checkable rules over the whole workspace. Clippy
+//! owns the rules it can express (docs/static-analysis.md): the
+//! determinism bans of the root `clippy.toml`, the panic lints denied
+//! at every sim-critical crate root by [`SIM_CRITICAL_LINTS`], and
+//! `undocumented_unsafe_blocks`. This crate owns the rest:
 //!
-//! * [`Rule::Determinism`] — no wall-clock time, OS randomness, threads
-//!   or default-hasher `HashMap`/`HashSet` in sim-critical crates; and,
-//!   workspace-wide, no ad-hoc `thread::spawn`/`thread::scope` anywhere
-//!   outside the sanctioned hopp-lab pool (`crates/bench/src/lab.rs`),
-//!   whose indexed-slot design keeps output byte-identical at any
-//!   thread count. One carve-out: `hopp_prof::span(..)` guards may time
-//!   host work even in sim-critical crates, because the guard never
-//!   returns the measured value (raw reads like `Instant::now()` or
-//!   `hopp_prof::host_now_ns()` stay banned);
 //! * [`Rule::DeterminismTaint`] — scope-aware taint tracking: a value
 //!   *derived* from a banned host source (through let-bindings,
 //!   reassignments and same-file function returns) must not flow into
-//!   a sim-state field assignment or out of a function. The identifier
-//!   ban above sees `Instant::now()`; this sees `state.ns = t.elapsed()`
-//!   two statements later;
+//!   a sim-state field assignment or out of a function. Clippy sees the
+//!   type in `Instant::now()`; this sees `state.ns = t.elapsed()` two
+//!   statements later;
 //! * [`Rule::OrderingSensitivity`] — iterating an unordered
 //!   `HashMap`/`HashSet` must not mutate state or emit output that
 //!   outlives the loop, *workspace-wide*: harness crates escape the
-//!   blanket `HashMap` ban, but artifact bytes must not depend on hash
-//!   order. `hopp_ds` types and `BTreeMap` iterate deterministically
-//!   and are never flagged;
-//! * [`Rule::PanicPolicy`] — no `unwrap`/`expect`/`panic!` in non-test
-//!   hot-path code; failures travel as [`hopp_types::Error`]-style typed
-//!   errors instead;
+//!   `HashMap` ban, but artifact bytes must not depend on hash order.
+//!   `hopp_ds` types and `BTreeMap` iterate deterministically and are
+//!   never flagged;
 //! * [`Rule::UnitHygiene`] — no raw `as` casts into or out of the ID
 //!   newtypes (`Vpn`, `Ppn`, …) outside `crates/types`; use the explicit
 //!   conversion methods;
-//! * [`Rule::UnsafeAudit`] — every `unsafe` carries an adjacent
-//!   `// SAFETY:` comment (same line or up to three lines above);
 //! * [`Rule::ConfigDrift`] — every workspace crate is classified
 //!   sim-critical or harness in [`rules`](SIM_CRITICAL_CRATES)' lists
-//!   (a new crate cannot silently skip analysis). `SimConfig`, the
-//!   `hoppsim` flags, `--help` and `docs/config.md` need no rule here:
-//!   they come from one flag table in `hoppsim`, tied to `SimConfig` at
-//!   compile time, whose unit tests pin the docs and the defaults.
+//!   (a new crate cannot silently skip analysis), and every
+//!   sim-critical crate root, and no harness root, carries
+//!   [`SIM_CRITICAL_LINTS`]. `SimConfig`, the `hoppsim` flags, `--help`
+//!   and `docs/config.md` need no rule here: they come from one flag
+//!   table in `hoppsim`, tied to `SimConfig` at compile time, whose
+//!   unit tests pin the docs and the defaults.
 //!
 //! Individual findings can be waived in place with
 //! `// hopp-check: allow(<rule>): <reason>`; each waiver suppresses
@@ -69,62 +61,50 @@ pub mod lexer;
 mod rules;
 pub mod sarif;
 
-pub use rules::{HARNESS_CRATES, SIM_CRITICAL_CRATES};
+pub use rules::{HARNESS_CRATES, SIM_CRITICAL_CRATES, SIM_CRITICAL_LINTS};
 
 /// The rules `hopp-check` enforces.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Rule {
-    /// Wall-clock, randomness, threads, unordered hashing in sim code.
-    Determinism,
     /// Host state laundered through bindings into sim state/returns.
     DeterminismTaint,
     /// Hash-order iteration driving state mutation or output.
     OrderingSensitivity,
-    /// `unwrap()`/`expect()`/`panic!` in non-test hot-path code.
-    PanicPolicy,
     /// Raw `as` casts into/out of ID newtypes outside `crates/types`.
     UnitHygiene,
-    /// `unsafe` without an adjacent `// SAFETY:` justification.
-    UnsafeAudit,
-    /// Workspace crates missing a sim-critical/harness class.
+    /// Workspace crates missing a sim-critical/harness class, or crate
+    /// roots whose lint line disagrees with it.
     ConfigDrift,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 7] = [
-        Rule::Determinism,
+    pub const ALL: [Rule; 4] = [
         Rule::DeterminismTaint,
         Rule::OrderingSensitivity,
-        Rule::PanicPolicy,
         Rule::UnitHygiene,
-        Rule::UnsafeAudit,
         Rule::ConfigDrift,
     ];
 
     /// The rule's waiver name (`allow(<name>)`), also the SARIF ruleId.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
             Rule::DeterminismTaint => "determinism-taint",
             Rule::OrderingSensitivity => "ordering-sensitivity",
-            Rule::PanicPolicy => "panic-policy",
             Rule::UnitHygiene => "unit-hygiene",
-            Rule::UnsafeAudit => "unsafe-audit",
             Rule::ConfigDrift => "config-drift",
         }
     }
 
-    /// Stable short rule ID (`HC01`…), never reused or renumbered —
-    /// baselines and SARIF dashboards key on it.
+    /// Stable short rule ID (`HC02`…), never reused or renumbered —
+    /// baselines and SARIF dashboards key on it. HC01 (determinism),
+    /// HC04 (panic-policy) and HC06 (unsafe-audit) are retired to
+    /// clippy and stay reserved.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Determinism => "HC01",
             Rule::DeterminismTaint => "HC02",
             Rule::OrderingSensitivity => "HC03",
-            Rule::PanicPolicy => "HC04",
             Rule::UnitHygiene => "HC05",
-            Rule::UnsafeAudit => "HC06",
             Rule::ConfigDrift => "HC07",
         }
     }
@@ -132,10 +112,6 @@ impl Rule {
     /// One-line description (SARIF rule metadata).
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::Determinism => {
-                "No wall-clock time, OS randomness, threads or default-hasher collections \
-                 in sim-critical crates; no ad-hoc threads anywhere outside the hopp-lab pool."
-            }
             Rule::DeterminismTaint => {
                 "Values derived from host time/randomness must not flow through bindings \
                  into sim state fields or function returns (scope-aware taint tracking)."
@@ -144,21 +120,13 @@ impl Rule {
                 "Iterating an unordered HashMap/HashSet must not mutate state or emit \
                  output that outlives the loop; hash order varies per process."
             }
-            Rule::PanicPolicy => {
-                "No unwrap/expect/panic!/unreachable!/todo! in non-test sim-critical code; \
-                 failures travel as typed errors."
-            }
             Rule::UnitHygiene => {
                 "No raw `as` casts into or out of the ID newtypes outside crates/types; \
                  use the explicit conversion methods."
             }
-            Rule::UnsafeAudit => {
-                "Every `unsafe` carries an adjacent `// SAFETY:` comment stating the \
-                 invariant that makes it sound."
-            }
             Rule::ConfigDrift => {
-                "Every workspace crate is classified sim-critical or harness, so none \
-                 silently skips the determinism and panic-policy rules."
+                "Every workspace crate is classified sim-critical or harness, and only \
+                 sim-critical crate roots carry the clippy determinism and panic lint line."
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The four rule implementations.
+//! The unit-hygiene line rule and the crate classification check.
 
 use std::path::Path;
 
@@ -6,9 +6,10 @@ use crate::lexer::Line;
 use crate::{FileContext, Finding, Rule};
 
 /// Crates whose code runs inside the simulated clock domain. Everything
-/// here must be deterministic and panic-free; harness crates (`obs`
-/// exporters, `bench`, the checker itself) are exempt from those two
-/// rules but not from unit hygiene. `trace` (the LLC model on every
+/// here must be deterministic and panic-free: each crate root carries
+/// [`SIM_CRITICAL_LINTS`], and the taint rule runs here. Harness crates
+/// (`obs` exporters, `bench`, the checker itself) are exempt from both
+/// but not from unit hygiene. `trace` (the LLC model on every
 /// cacheline access) and `workloads` (the seeded stream generators) sit
 /// on the simulated path and are sim-critical.
 pub const SIM_CRITICAL_CRATES: [&str; 12] = [
@@ -28,8 +29,8 @@ pub const SIM_CRITICAL_CRATES: [&str; 12] = [
 
 /// Crates that are host-side tooling by design: measurement harnesses,
 /// exporters and the checker itself. Exempt from the sim-critical
-/// determinism/panic rules (but not from unit hygiene,
-/// ordering-sensitivity or the unsafe audit).
+/// determinism and panic bans and the taint rule (but not from unit
+/// hygiene, ordering-sensitivity or the workspace-wide clippy lints).
 ///
 /// Together with [`SIM_CRITICAL_CRATES`] this must cover every
 /// directory under `crates/`: [`check_crate_classification`] fails the
@@ -37,185 +38,34 @@ pub const SIM_CRITICAL_CRATES: [&str; 12] = [
 /// cannot silently skip analysis.
 pub const HARNESS_CRATES: [&str; 6] = ["bench", "check", "obs", "prof", "types", "xtask"];
 
+/// The lint line every sim-critical crate root (`src/lib.rs`,
+/// `src/main.rs`, `src/bin/*.rs`) carries and no harness root may:
+/// clippy then enforces the determinism bans of the root `clippy.toml`
+/// and the panic policy there. Matched with whitespace ignored, so the
+/// rustfmt layout passes.
+pub const SIM_CRITICAL_LINTS: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, \
+     clippy::panic, clippy::unreachable, clippy::disallowed_types, \
+     clippy::allow_attributes_without_reason)]";
+
 /// ID newtypes whose raw values must not be `as`-cast outside
 /// `crates/types` (the one place allowed to define conversions).
 const ID_NEWTYPES: [&str; 6] = ["Vpn", "Ppn", "Pid", "NodeId", "LineAddr", "SwapSlot"];
 
-/// Identifiers banned in sim-critical code: wall-clock time, OS
-/// randomness and threading have no place inside the simulated clock
-/// domain, and default-hasher collections iterate in a random order.
-///
-/// Carve-out: `hopp_prof::span(..)` scope guards are the one sanctioned
-/// host-timing probe in sim-critical code. The guard records host time
-/// into thread-local profiler state but never returns the measured
-/// value, so host time cannot leak into simulated state; the raw reads
-/// (`Instant`, `hopp_prof::host_now_ns`) stay banned.
-const DETERMINISM_BANS: [(&str, &str); 8] = [
-    (
-        "Instant",
-        "wall-clock time in sim code; simulated time is `Nanos` carried by the event loop",
-    ),
-    (
-        "SystemTime",
-        "wall-clock time in sim code; simulated time is `Nanos` carried by the event loop",
-    ),
-    (
-        "thread::spawn",
-        "threads in sim code break deterministic replay; the simulator is single-threaded by design",
-    ),
-    (
-        "thread::scope",
-        "threads in sim code break deterministic replay; the simulator is single-threaded by design",
-    ),
-    (
-        "host_now_ns",
-        "raw host-clock read in sim code; use a `hopp_prof::span(..)` guard, which times \
-         host work without ever handing the measured value back to the caller",
-    ),
-    (
-        "rand::",
-        "OS randomness in sim code; use the seeded `hopp_types::rng` SplitMix64",
-    ),
-    (
-        "HashMap",
-        "default-hasher map iterates in random order; use `hopp_ds::DetMap` (seeded hash, \
-         insertion-order iteration), `hopp_ds::PageMap` for dense page keys, or `BTreeMap`",
-    ),
-    (
-        "HashSet",
-        "default-hasher set iterates in random order; use `hopp_ds::DetMap<K, ()>` or `BTreeSet`",
-    ),
-];
-
-/// Thread primitives banned *everywhere* in the workspace except the
-/// one sanctioned home: the hopp-lab pool in `crates/bench/src/lab.rs`.
-/// Harness crates are exempt from the sim-critical determinism rule,
-/// but ad-hoc threading there still produces artifacts whose byte
-/// stability nobody audited — so parallel work must route through the
-/// pool, which guarantees grid-order aggregation at any thread count.
-const THREAD_BANS: [(&str, &str); 2] = [
-    (
-        "thread::spawn",
-        "ad-hoc threads outside the sanctioned pool; route parallel work through \
-         `hopp_bench::lab::run_indexed` (crates/bench/src/lab.rs), which preserves \
-         deterministic output order",
-    ),
-    (
-        "thread::scope",
-        "ad-hoc threads outside the sanctioned pool; route parallel work through \
-         `hopp_bench::lab::run_indexed` (crates/bench/src/lab.rs), which preserves \
-         deterministic output order",
-    ),
-];
-
-/// Panicking forms banned in non-test hot-path code. `assert!` /
-/// `debug_assert!` stay allowed: they state contracts, while these
-/// forms swallow recoverable failures that should travel as errors.
-const PANIC_BANS: [(&str, &str); 5] = [
-    (
-        ".unwrap()",
-        "propagate a typed error (`?`) or handle the `None`/`Err` case",
-    ),
-    (
-        ".expect(",
-        "propagate a typed error (`?`) instead of panicking with a message",
-    ),
-    (
-        "panic!(",
-        "return a typed `hopp_types::Error` so callers can report context",
-    ),
-    (
-        "unreachable!(",
-        "make the invariant a type or return a typed error",
-    ),
-    ("todo!(", "unimplemented code must not ship in hot paths"),
-];
-
 /// Runs the per-file rules over one lexed file.
 pub fn check_file(ctx: &mut FileContext<'_>, findings: &mut Vec<Finding>) {
-    let sim_critical = SIM_CRITICAL_CRATES.contains(&ctx.krate);
     // The whole `benches/` tree is measurement harness, not sim code.
-    let is_bench = ctx.rel.contains("/benches/");
-    // The one sanctioned home for threads in the whole workspace.
-    let is_lab_pool = ctx.rel == "crates/bench/src/lab.rs";
-    for (idx, line) in ctx.lexed.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let lineno = idx + 1;
-        if sim_critical && !is_bench {
-            check_determinism(ctx, line, lineno, findings);
-            check_panic_policy(ctx, line, lineno, findings);
-        } else if !is_lab_pool {
-            // Harness code escapes the full determinism rule, but not
-            // the workspace-wide thread policy: parallelism must route
-            // through the hopp-lab pool so output stays byte-stable.
-            check_thread_policy(ctx, line, lineno, findings);
-        }
-        if ctx.krate != "types" && ctx.krate != "check" {
-            check_unit_hygiene(ctx, line, lineno, findings);
+    let sim_critical = SIM_CRITICAL_CRATES.contains(&ctx.krate) && !ctx.rel.contains("/benches/");
+    if ctx.krate != "types" && ctx.krate != "check" {
+        for (idx, line) in ctx.lexed.lines.iter().enumerate() {
+            if !line.in_test {
+                check_unit_hygiene(ctx, line, idx + 1, findings);
+            }
         }
     }
     // The scope-aware passes: determinism taint-flow (sim-critical
-    // only) and ordering-sensitivity (everywhere), then the line-level
-    // unsafe audit (everywhere).
+    // only) and ordering-sensitivity (everywhere).
     let toks = crate::lexer::tokenize(&ctx.lexed);
-    crate::dataflow::check_dataflow(ctx, &toks, sim_critical && !is_bench, findings);
-    crate::dataflow::check_unsafe_audit(ctx, findings);
-}
-
-fn check_determinism(
-    ctx: &FileContext<'_>,
-    line: &Line,
-    lineno: usize,
-    findings: &mut Vec<Finding>,
-) {
-    for (needle, steer) in DETERMINISM_BANS {
-        if contains_ident(&line.code, needle) {
-            findings.push(Finding {
-                rule: Rule::Determinism,
-                file: ctx.rel.clone(),
-                line: lineno,
-                message: format!("`{needle}`: {steer}"),
-            });
-        }
-    }
-}
-
-fn check_thread_policy(
-    ctx: &FileContext<'_>,
-    line: &Line,
-    lineno: usize,
-    findings: &mut Vec<Finding>,
-) {
-    for (needle, steer) in THREAD_BANS {
-        if contains_ident(&line.code, needle) {
-            findings.push(Finding {
-                rule: Rule::Determinism,
-                file: ctx.rel.clone(),
-                line: lineno,
-                message: format!("`{needle}`: {steer}"),
-            });
-        }
-    }
-}
-
-fn check_panic_policy(
-    ctx: &FileContext<'_>,
-    line: &Line,
-    lineno: usize,
-    findings: &mut Vec<Finding>,
-) {
-    for (needle, steer) in PANIC_BANS {
-        if line.code.contains(needle) {
-            findings.push(Finding {
-                rule: Rule::PanicPolicy,
-                file: ctx.rel.clone(),
-                line: lineno,
-                message: format!("`{}`: {steer}", needle.trim_end_matches('(')),
-            });
-        }
-    }
+    crate::dataflow::check_dataflow(ctx, &toks, sim_critical, findings);
 }
 
 fn check_unit_hygiene(
@@ -279,34 +129,15 @@ fn argument_span(code: &str, open: usize) -> &str {
     &code[open + 1..]
 }
 
-/// Word-boundary containment: `HashMap` matches `HashMap::new` but not
-/// `MyHashMapLike` or `hash_map`.
-fn contains_ident(code: &str, needle: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(needle) {
-        let at = start + pos;
-        let before_ok = at == 0 || {
-            let c = code[..at].chars().next_back().unwrap_or(' ');
-            !(c.is_alphanumeric() || c == '_')
-        };
-        let end = at + needle.len();
-        let after_ok = end >= code.len() || {
-            let c = code[end..].chars().next().unwrap_or(' ');
-            !(c.is_alphanumeric() || c == '_')
-        };
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + needle.len();
-    }
-    false
-}
-
 /// Every directory under `crates/` must be classified: either
-/// sim-critical (full determinism/panic rules) or harness (exempt from
-/// those two). An unclassified crate is a finding — previously the
-/// hand-maintained [`SIM_CRITICAL_CRATES`] list could silently go
+/// sim-critical (determinism and panic bans, taint rule) or harness
+/// (exempt from those). An unclassified crate is a finding — previously
+/// the hand-maintained [`SIM_CRITICAL_CRATES`] list could silently go
 /// stale when a crate was added, leaving it unanalysed.
+///
+/// The classification is tied to enforcement: every sim-critical crate
+/// root carries [`SIM_CRITICAL_LINTS`] and no harness root does, so the
+/// list and what clippy checks cannot disagree.
 ///
 /// The reverse direction (a list entry whose directory no longer
 /// exists) is only checked when the root carries a `Cargo.toml`, so
@@ -323,9 +154,10 @@ pub fn check_crate_classification(root: &Path, findings: &mut Vec<Finding>) {
         .collect();
     members.sort();
     for name in &members {
-        let classified =
-            SIM_CRITICAL_CRATES.contains(&name.as_str()) || HARNESS_CRATES.contains(&name.as_str());
-        if !classified {
+        let sim_critical = SIM_CRITICAL_CRATES.contains(&name.as_str());
+        if sim_critical || HARNESS_CRATES.contains(&name.as_str()) {
+            check_root_lints(&crates_dir, name, sim_critical, findings);
+        } else {
             findings.push(Finding {
                 rule: Rule::ConfigDrift,
                 file: format!("crates/{name}"),
@@ -360,18 +192,62 @@ pub fn check_crate_classification(root: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Holds one crate's roots to its class: [`SIM_CRITICAL_LINTS`] in
+/// code (not comments) at every sim-critical root, at no harness root.
+fn check_root_lints(
+    crates_dir: &Path,
+    name: &str,
+    sim_critical: bool,
+    findings: &mut Vec<Finding>,
+) {
+    let src_dir = crates_dir.join(name).join("src");
+    let mut roots = vec!["lib.rs".to_string(), "main.rs".to_string()];
+    if let Ok(bins) = std::fs::read_dir(src_dir.join("bin")) {
+        let mut bins: Vec<String> = bins
+            .flatten()
+            .map(|e| format!("bin/{}", e.file_name().to_string_lossy()))
+            .filter(|p| p.ends_with(".rs"))
+            .collect();
+        bins.sort();
+        roots.extend(bins);
+    }
+    let squash = |s: &str| s.split_whitespace().collect::<String>();
+    let wanted = squash(SIM_CRITICAL_LINTS);
+    for root in roots {
+        let Ok(src) = std::fs::read_to_string(src_dir.join(&root)) else {
+            continue;
+        };
+        let code: String = crate::lexer::lex(&src)
+            .lines
+            .iter()
+            .map(|l| squash(&l.code))
+            .collect();
+        if code.contains(&wanted) == sim_critical {
+            continue;
+        }
+        let message = if sim_critical {
+            format!(
+                "sim-critical crate root lacks `{SIM_CRITICAL_LINTS}`; add it so clippy \
+                 enforces the determinism and panic bans here"
+            )
+        } else {
+            format!(
+                "harness crate root carries the sim-critical lint line; remove it, or move \
+                 `{name}` to SIM_CRITICAL_CRATES"
+            )
+        };
+        findings.push(Finding {
+            rule: Rule::ConfigDrift,
+            file: format!("crates/{name}/src/{root}"),
+            line: 1,
+            message,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ident_matching_respects_word_boundaries() {
-        assert!(contains_ident("let m = HashMap::new();", "HashMap"));
-        assert!(contains_ident("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_ident("struct MyHashMapLike;", "HashMap"));
-        assert!(!contains_ident("let hash_map = 1;", "HashMap"));
-        assert!(contains_ident("std::thread::spawn(f)", "thread::spawn"));
-    }
 
     #[test]
     fn argument_span_matches_parens() {

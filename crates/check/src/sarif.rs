@@ -103,10 +103,10 @@ mod tests {
                         .to_string(),
                 },
                 Finding {
-                    rule: Rule::UnsafeAudit,
-                    file: "crates/prof/src/alloc.rs".to_string(),
+                    rule: Rule::UnitHygiene,
+                    file: "crates/mem/src/lib.rs".to_string(),
                     line: 44,
-                    message: "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
+                    message: "`.raw() as …` cast loses the ID's unit".to_string(),
                 },
             ],
             ..CheckReport::default()
@@ -183,7 +183,7 @@ mod tests {
     fn messages_with_quotes_and_backslashes_stay_valid() {
         let mut rep = CheckReport::default();
         rep.findings.push(Finding {
-            rule: Rule::Determinism,
+            rule: Rule::DeterminismTaint,
             file: "a\\b.rs".to_string(),
             line: 1,
             message: "uses \"Instant\" \\ <newline>\n end".to_string(),

@@ -1,6 +1,7 @@
 //! Fixture tests: each checker rule fires on a seeded violation with an
 //! exact `file:line`, and waivers behave as documented — one finding per
-//! waiver, reasons mandatory, stale waivers flagged.
+//! waiver, reasons mandatory, stale waivers flagged. The rules clippy
+//! owns are pinned by `clippy_parity.rs` instead.
 //!
 //! Each fixture under `tests/fixtures/` is a miniature fake workspace
 //! (`crates/*/src`) handed to
@@ -24,43 +25,6 @@ fn brief(f: &Finding) -> (Rule, &str, usize) {
 }
 
 #[test]
-fn seeded_violations_fire_once_each_with_file_and_line() {
-    let report = check("seeded");
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![
-            (Rule::Determinism, "crates/hw/src/lib.rs", 3),
-            (Rule::PanicPolicy, "crates/kernel/src/lib.rs", 5),
-            (Rule::UnitHygiene, "crates/mem/src/lib.rs", 7),
-        ],
-        "one finding per rule, at the seeded file:line\n{}",
-        report.render()
-    );
-    assert_eq!(report.files_checked, 3);
-    assert_eq!(report.waiver_budget(), 0);
-
-    // Findings render as `file:line: [rule] message` so editors can jump.
-    let shown = report.findings[0].to_string();
-    assert!(
-        shown.starts_with("crates/hw/src/lib.rs:3: [determinism] "),
-        "unexpected rendering: {shown}"
-    );
-    assert!(shown.contains("HashMap"), "names the offender: {shown}");
-
-    // The `#[cfg(test)]` HashMap in the same file stays exempt: line 3
-    // is the only determinism finding.
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::Determinism)
-            .count(),
-        1
-    );
-}
-
-#[test]
 fn reasoned_waivers_suppress_exactly_their_findings() {
     let report = check("waived");
     assert!(
@@ -68,28 +32,36 @@ fn reasoned_waivers_suppress_exactly_their_findings() {
         "every seeded violation is waived\n{}",
         report.render()
     );
-    // Trailing waivers (hw x2, mem x1) and a standalone waiver (kernel)
-    // each spent exactly one budget entry under their rule.
-    assert_eq!(report.waived.get("determinism"), Some(&2));
-    assert_eq!(report.waived.get("panic-policy"), Some(&1));
-    assert_eq!(report.waived.get("unit-hygiene"), Some(&1));
-    assert_eq!(report.waiver_budget(), 4);
-    assert_eq!(report.files_checked, 3);
+    // A trailing waiver and a standalone waiver each spent exactly one
+    // budget entry.
+    assert_eq!(report.waived.get("unit-hygiene"), Some(&2));
+    assert_eq!(report.waiver_budget(), 2);
+    assert_eq!(report.files_checked, 1);
+
+    // A seeded finding renders as `file:line: [rule] message` so
+    // editors can jump.
+    let report = check("double");
+    let shown = report.findings[0].to_string();
+    assert!(
+        shown.starts_with("crates/kernel/src/lib.rs:10: [unit-hygiene] "),
+        "unexpected rendering: {shown}"
+    );
+    assert!(shown.contains("Vpn::new"), "names the offender: {shown}");
 }
 
 #[test]
 fn one_waiver_covers_one_line_not_a_region() {
     let report = check("double");
-    // Two consecutive unwraps, one waiver: the first is suppressed, the
-    // second still fires.
+    // Two consecutive raw casts, one waiver: the first is suppressed,
+    // the second still fires.
     let got: Vec<_> = report.findings.iter().map(brief).collect();
     assert_eq!(
         got,
-        vec![(Rule::PanicPolicy, "crates/kernel/src/lib.rs", 7)],
+        vec![(Rule::UnitHygiene, "crates/kernel/src/lib.rs", 10)],
         "{}",
         report.render()
     );
-    assert_eq!(report.waived.get("panic-policy"), Some(&1));
+    assert_eq!(report.waived.get("unit-hygiene"), Some(&1));
 }
 
 #[test]
@@ -100,11 +72,11 @@ fn stale_and_reasonless_waivers_are_findings() {
         got,
         vec![
             // The waiver with nothing to waive, reported at its own line.
-            (Rule::Determinism, "crates/core/src/lib.rs", 3),
+            (Rule::UnitHygiene, "crates/core/src/lib.rs", 4),
             // The reason-less waiver, also at its own line ...
-            (Rule::PanicPolicy, "crates/core/src/lib.rs", 10),
-            // ... which therefore does NOT suppress the unwrap below it.
-            (Rule::PanicPolicy, "crates/core/src/lib.rs", 11),
+            (Rule::UnitHygiene, "crates/core/src/lib.rs", 11),
+            // ... which therefore does NOT suppress the cast below it.
+            (Rule::UnitHygiene, "crates/core/src/lib.rs", 12),
         ],
         "{}",
         report.render()
@@ -115,7 +87,7 @@ fn stale_and_reasonless_waivers_are_findings() {
         report.findings[0].message
     );
     assert!(
-        report.findings[0].message.contains("line 4"),
+        report.findings[0].message.contains("line 5"),
         "says which line it targeted: {}",
         report.findings[0].message
     );
@@ -128,147 +100,49 @@ fn stale_and_reasonless_waivers_are_findings() {
 }
 
 #[test]
-fn hopp_ds_collections_pass_where_hashmap_fires() {
-    let report = check("dsaware");
-    // The `ds` crate is sim-critical, yet its `DetMap`/`PageMap`/`Lru`
-    // usage produces nothing; the `HashMap` twin fires at each use site
-    // with a steer that names the deterministic replacement.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![
-            (Rule::Determinism, "crates/kernel/src/lib.rs", 3),
-            (Rule::Determinism, "crates/kernel/src/lib.rs", 7),
-        ],
-        "{}",
-        report.render()
-    );
-    assert!(
-        report.findings[0].message.contains("hopp_ds::DetMap"),
-        "steer recommends the deterministic map: {}",
-        report.findings[0].message
-    );
-    assert_eq!(report.files_checked, 2);
-}
-
-#[test]
-fn thread_policy_spares_only_the_lab_pool() {
-    let report = check("labthread");
-    // `crates/bench/src/lab.rs` uses both `thread::scope` and
-    // `thread::spawn` and is spared (the sanctioned pool); the same
-    // `thread::spawn` in the obs harness crate — exempt from the full
-    // sim-critical determinism rule — still fires the workspace-wide
-    // thread policy.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![(Rule::Determinism, "crates/obs/src/lib.rs", 4)],
-        "ad-hoc spawn flagged, lab pool spared\n{}",
-        report.render()
-    );
-    assert!(
-        report.findings[0].message.contains("lab::run_indexed"),
-        "steer names the sanctioned pool: {}",
-        report.findings[0].message
-    );
-    assert_eq!(report.files_checked, 2);
-    assert_eq!(report.waiver_budget(), 0);
-}
-
-#[test]
-fn scenario_engine_is_sim_critical() {
-    let report = check("scncritical");
-    // `crates/scenario` parses user-written TOML and binary traces in
-    // the simulated clock domain, so it sits on the sim-critical list:
-    // its `.unwrap()` fires the panic policy, while the byte-identical
-    // twin in the `obs` harness crate stays exempt.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![(Rule::PanicPolicy, "crates/scenario/src/lib.rs", 5)],
-        "scenario unwrap fires once, harness twin spared\n{}",
-        report.render()
-    );
-    assert!(
-        report.findings[0].message.contains("typed error"),
-        "steers toward typed errors: {}",
-        report.findings[0].message
-    );
-    assert_eq!(report.files_checked, 2);
-    assert_eq!(report.waiver_budget(), 0);
-}
-
-#[test]
-fn prof_spans_pass_where_raw_host_clock_reads_fire() {
-    let report = check("profclock");
-    // The `hopp_prof::span("kernel/reclaim")` guard on line 5 is the
-    // sanctioned host-timing probe and produces nothing; the raw
-    // `Instant::now()` / `host_now_ns()` reads right below it each fire.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![
-            (Rule::Determinism, "crates/kernel/src/lib.rs", 6),
-            (Rule::Determinism, "crates/kernel/src/lib.rs", 7),
-        ],
-        "span guard spared, raw reads flagged\n{}",
-        report.render()
-    );
-    assert!(
-        report.findings[1].message.contains("hopp_prof::span"),
-        "steer names the sanctioned probe: {}",
-        report.findings[1].message
-    );
-    assert_eq!(report.files_checked, 1);
-    assert_eq!(report.waiver_budget(), 0);
-}
-
-#[test]
-fn taint_flow_catches_laundering_the_identifier_ban_cannot_see() {
+fn taint_flow_catches_laundering_the_type_ban_cannot_see() {
     let report = check("taintflow");
-    // Lines 6 and 11 read `Instant::now()` directly — the v1 identifier
-    // ban sees those. Lines 7, 13 and 14 are where the *value* escapes:
-    // a tainted function return, a one-hop field sink, and a call-sink
-    // through that tainted function.
+    // Lines 7 and 12 read `Instant::now()` directly — clippy's
+    // `disallowed_types` sees those. Lines 8, 14 and 15 are where the
+    // *value* escapes: a tainted function return, a one-hop field sink,
+    // and a call-sink through that tainted function.
     let got: Vec<_> = report.findings.iter().map(brief).collect();
     assert_eq!(
         got,
         vec![
-            (Rule::Determinism, "crates/hw/src/lib.rs", 6),
-            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 7),
-            (Rule::Determinism, "crates/hw/src/lib.rs", 11),
-            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 13),
+            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 8),
             (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 14),
+            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 15),
         ],
         "{}",
         report.render()
     );
-    // The sink lines carry NO banned identifier — a per-line lexer has
-    // nothing to match there. Only the dataflow walk reaches them.
+    // The sink lines carry NO banned name — a per-line ban has nothing
+    // to match there. Only the dataflow walk reaches them.
     let src = std::fs::read_to_string(
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures/taintflow/crates/hw/src/lib.rs"),
     )
     .expect("fixture readable");
-    for sink in [13, 14] {
+    for sink in [14, 15] {
         let line = src.lines().nth(sink - 1).expect("sink line exists");
         for banned in ["Instant", "SystemTime", "host_now_ns", "rand", "env::var"] {
             assert!(
                 !line.contains(banned),
-                "line {sink} must be invisible to the identifier ban: {line}"
+                "line {sink} must be invisible to a per-line ban: {line}"
             );
         }
     }
     // Messages trace the flow back to its origin line.
     assert!(
-        report.findings[3].message.contains("`Instant` (line 11)"),
+        report.findings[1].message.contains("`Instant` (line 12)"),
         "sink names its origin: {}",
-        report.findings[3].message
+        report.findings[1].message
     );
     assert!(
-        report.findings[1].message.contains("host_probe"),
+        report.findings[0].message.contains("host_probe"),
         "return finding names the function: {}",
-        report.findings[1].message
+        report.findings[0].message
     );
     assert_eq!(report.files_checked, 1);
 }
@@ -290,27 +164,6 @@ fn ordering_sensitivity_fires_on_hash_iteration_with_escaping_writes() {
         report.findings[0].message.contains("hopp_ds::DetMap")
             && report.findings[0].message.contains("`index`"),
         "steer names the binding and the fix: {}",
-        report.findings[0].message
-    );
-    // obs is a harness crate: no blanket-HashMap determinism finding.
-    assert!(report.findings.iter().all(|f| f.rule != Rule::Determinism));
-    assert_eq!(report.files_checked, 1);
-}
-
-#[test]
-fn unsafe_audit_requires_an_adjacent_safety_comment() {
-    let report = check("unsafeaudit");
-    // The justified block on line 5 passes; the bare one on line 9 fires.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![(Rule::UnsafeAudit, "crates/prof/src/lib.rs", 9)],
-        "{}",
-        report.render()
-    );
-    assert!(
-        report.findings[0].message.contains("SAFETY:"),
-        "{}",
         report.findings[0].message
     );
     assert_eq!(report.files_checked, 1);
@@ -336,6 +189,36 @@ fn unclassified_crates_are_config_drift() {
         report.findings[0].message
     );
     assert_eq!(report.files_checked, 1);
+}
+
+#[test]
+fn sim_critical_roots_and_only_they_carry_the_lint_line() {
+    let report = check("rootlints");
+    // `hw` names the line only in a comment, `sim`'s binary root lacks
+    // it while its library root has it, and the harness crate `obs`
+    // carries it. `kernel` passes in rustfmt's multi-line layout.
+    let got: Vec<_> = report.findings.iter().map(brief).collect();
+    assert_eq!(
+        got,
+        vec![
+            (Rule::ConfigDrift, "crates/hw/src/lib.rs", 1),
+            (Rule::ConfigDrift, "crates/obs/src/lib.rs", 1),
+            (Rule::ConfigDrift, "crates/sim/src/bin/tool.rs", 1),
+        ],
+        "{}",
+        report.render()
+    );
+    assert!(
+        report.findings[0].message.contains("clippy::unwrap_used"),
+        "quotes the line to add: {}",
+        report.findings[0].message
+    );
+    assert!(
+        report.findings[1].message.contains("SIM_CRITICAL_CRATES"),
+        "steers the harness crate: {}",
+        report.findings[1].message
+    );
+    assert_eq!(report.files_checked, 5);
 }
 
 #[test]

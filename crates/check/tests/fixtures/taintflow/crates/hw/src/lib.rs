@@ -1,4 +1,5 @@
 //! Fixture: host time laundered through bindings into sim state.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::disallowed_types, clippy::allow_attributes_without_reason)]
 
 pub struct State { pub ns: u64 }
 

@@ -63,8 +63,11 @@ impl HoppEngine {
     ///
     /// Panics if the STT configuration is invalid; use
     /// [`HoppEngine::try_new`] to handle that as an error.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience constructor; try_new is the fallible path"
+    )]
     pub fn new(config: HoppConfig) -> Self {
-        // hopp-check: allow(panic-policy): documented panicking convenience constructor; try_new is the fallible path
         Self::try_new(config).expect("invalid HoPP configuration")
     }
 

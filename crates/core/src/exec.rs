@@ -96,7 +96,10 @@ impl ExecutionEngine {
     /// # Errors
     ///
     /// Propagates the pool's read failure; see [`RemotePool::read_span`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the in-flight read"
+    )]
     pub fn request_span(
         &mut self,
         pid: Pid,
@@ -117,7 +120,10 @@ impl ExecutionEngine {
     /// # Errors
     ///
     /// Propagates the pool's read failure; see [`RemotePool::read_span`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the in-flight read"
+    )]
     pub fn request_span_rec(
         &mut self,
         pid: Pid,
@@ -185,10 +191,13 @@ impl ExecutionEngine {
     pub fn poll_into(&mut self, now: Nanos, done: &mut Vec<Completion>) -> usize {
         let before = done.len();
         while let Some((done_at, (pid, vpn))) = self.cq.pop_due(now) {
+            #[expect(
+                clippy::expect_used,
+                reason = "every queued completion was inserted with an inflight record two lines apart; violation is a checker bug, not a run condition"
+            )]
             let (stream, tier, issued_at, span) = self
                 .inflight
                 .remove(&(pid, vpn))
-                // hopp-check: allow(panic-policy): every queued completion was inserted with an inflight record two lines apart; violation is a checker bug, not a run condition
                 .expect("completion for unknown in-flight read");
             self.stats.completed += 1;
             done.push(Completion {

@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! HoPP's software side: the prefetch training framework, policy engine
 //! and execution engine (§III-D, §III-E, §III-F of the paper).
 //!

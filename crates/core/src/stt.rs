@@ -110,14 +110,20 @@ pub struct StreamWindow {
 
 impl StreamWindow {
     /// The newest page, `VPN_A`.
+    #[expect(
+        clippy::expect_used,
+        reason = "windows are built from at least one hot page; emptiness is a construction bug"
+    )]
     pub fn vpn_a(&self) -> Vpn {
-        // hopp-check: allow(panic-policy): windows are built from at least one hot page; emptiness is a construction bug
         *self.vpn_history.last().expect("window is non-empty")
     }
 
     /// The newest stride, `stride_A`.
+    #[expect(
+        clippy::expect_used,
+        reason = "reported windows carry >= 2 pages, hence >= 1 stride, by the report threshold"
+    )]
     pub fn stride_a(&self) -> i64 {
-        // hopp-check: allow(panic-policy): reported windows carry >= 2 pages, hence >= 1 stride, by the report threshold
         *self.stride_history.last().expect("window has strides")
     }
 
@@ -233,7 +239,10 @@ impl StreamTrainingTable {
             if !e.valid || e.pid != hot.pid {
                 continue;
             }
-            // hopp-check: allow(panic-policy): a valid entry always holds its seed page; emptiness is an insertion bug
+            #[expect(
+                clippy::expect_used,
+                reason = "a valid entry always holds its seed page; emptiness is an insertion bug"
+            )]
             let last = *e.vpns.last().expect("valid entries are non-empty");
             let dist = last.raw().abs_diff(hot.vpn.raw());
             if dist <= self.config.delta_stream && best.is_none_or(|(_, d)| dist < d) {
@@ -254,7 +263,10 @@ impl StreamTrainingTable {
                 let clock = self.clock;
                 let e = &mut self.entries[idx];
                 e.lru = clock;
-                // hopp-check: allow(panic-policy): the entry matched this hot page, so it holds at least the seed page
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the entry matched this hot page, so it holds at least the seed page"
+                )]
                 let last = *e.vpns.last().expect("non-empty");
                 e.vpns.push(hot.vpn);
                 e.strides.push(hot.vpn.stride_from(last));
@@ -291,13 +303,16 @@ impl StreamTrainingTable {
             }
             None => {
                 // Allocate a new entry, recycling the LRU victim.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "SttConfig::validate rejects zero entries at construction"
+                )]
                 let victim = self
                     .entries
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
                     .map(|(i, _)| i)
-                    // hopp-check: allow(panic-policy): SttConfig::validate rejects zero entries at construction
                     .expect("entries >= 1 validated");
                 let clock = self.clock;
                 let e = &mut self.entries[victim];

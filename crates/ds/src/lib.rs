@@ -1,3 +1,11 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! `hopp-ds` — deterministic, allocation-lean collections for the HoPP
 //! hot paths.
 //!
@@ -12,7 +20,7 @@
 //! * [`DetMap`] — a seeded open-addressing hash map (SplitMix64-mixed,
 //!   linear probing with backward-shift deletion over flat `Vec`s) with
 //!   **insertion-order iteration**. No `RandomState`, no OS entropy: it
-//!   passes the hopp-check determinism rule by construction.
+//!   passes clippy's `HashMap` ban by construction.
 //! * [`PageMap`] — a paged direct-index table for dense page/frame
 //!   number keys ([`Vpn`]/[`Ppn`]); O(1) lookup, iteration in key
 //!   order (the same order the `BTreeMap`s it replaces iterated in).

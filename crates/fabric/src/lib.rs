@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! Sharded multi-node remote-memory pool with failure injection and
 //! failover.
 //!

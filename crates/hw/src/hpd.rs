@@ -198,10 +198,13 @@ impl HotPageDetector {
         }
 
         // Insert, evicting LRU if the set is full.
+        #[expect(
+            clippy::expect_used,
+            reason = "HpdConfig::validate rejects zero ways at construction"
+        )]
         let victim = set
             .iter_mut()
             .min_by_key(|e| if e.valid { e.lru } else { 0 })
-            // hopp-check: allow(panic-policy): HpdConfig::validate rejects zero ways at construction
             .expect("ways >= 1 validated");
         if victim.valid {
             if victim.sent {

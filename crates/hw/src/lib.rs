@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! HoPP's hardware modules, modelled cycle-approximately in software.
 //!
 //! The paper adds two blocks to the memory controller and verifies them

@@ -219,12 +219,15 @@ impl ReversePageTable {
         let set_idx = self.set_of(ppn);
         let clock = self.clock;
         let set = &mut self.sets[set_idx];
+        #[expect(
+            clippy::expect_used,
+            reason = "RptCacheConfig::validate rejects zero ways at construction"
+        )]
         let victim_idx = set
             .iter()
             .enumerate()
             .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
             .map(|(i, _)| i)
-            // hopp-check: allow(panic-policy): RptCacheConfig::validate rejects zero ways at construction
             .expect("ways >= 1 validated");
         let victim = set[victim_idx];
         if victim.valid && victim.dirty {

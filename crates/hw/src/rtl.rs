@@ -178,6 +178,10 @@ impl HpdRtl {
             None => {
                 // Victim = oldest age (ties: lowest way index), prefer
                 // invalid ways.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the RTL geometry is validated to >= 1 way at construction"
+                )]
                 let victim = (0..self.config.ways)
                     .max_by_key(|&w| {
                         if self.entries[set][w].valid() {
@@ -186,7 +190,6 @@ impl HpdRtl {
                             u16::MAX // invalid ways first
                         }
                     })
-                    // hopp-check: allow(panic-policy): the RTL geometry is validated to >= 1 way at construction
                     .expect("ways >= 1");
                 self.entries[set][victim] = PackedEntry::new(req.ppn);
                 self.entries[set][victim].set_count(1);

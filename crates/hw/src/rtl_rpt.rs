@@ -239,6 +239,10 @@ impl RptRtl {
     fn fill(&mut self, ppn: Ppn, entry: Option<PackedRptEntry>, dirty: bool) {
         let set_idx = self.set_of(ppn);
         let set = &mut self.sets[set_idx];
+        #[expect(
+            clippy::expect_used,
+            reason = "the RTL geometry is validated to >= 1 way at construction"
+        )]
         let victim = (0..set.len())
             .max_by_key(|&w| {
                 if set[w].valid {
@@ -247,7 +251,6 @@ impl RptRtl {
                     u16::MAX
                 }
             })
-            // hopp-check: allow(panic-policy): the RTL geometry is validated to >= 1 way at construction
             .expect("ways >= 1");
         let old = set[victim];
         if old.valid && old.dirty {

@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! Simulated kernel virtual-memory subsystem.
 //!
 //! Kernel-based disaggregated-memory systems (Fastswap, Leap, and HoPP's

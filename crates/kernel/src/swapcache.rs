@@ -73,7 +73,10 @@ impl SwapCache {
     /// Inserts a page. Returns the previous entry if one existed (the
     /// caller must free its frame — duplicate fills race in real
     /// kernels; here the newer fill wins).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the cache entry"
+    )]
     pub fn insert(
         &mut self,
         pid: Pid,

@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! Physical memory and page-table substrate.
 //!
 //! This crate models the machine-level memory state the kernel and the

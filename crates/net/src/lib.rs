@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! RDMA remote-memory substrate.
 //!
 //! The paper's testbed moves 4 KB pages between two servers over a

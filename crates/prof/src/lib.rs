@@ -9,10 +9,9 @@
 //! circle: sim-critical code may open **scope guards**
 //! ([`span`]) that measure host time and allocation counts on entry and
 //! exit, but a guard never hands a time value back to its caller, so
-//! host time cannot leak into simulated state. The `hopp-check`
-//! determinism rule encodes the same split: `hopp_prof::span` is
-//! recognised in sim-critical crates while the raw clock accessor
-//! [`host_now_ns`] stays banned there.
+//! host time cannot leak into simulated state. The root `clippy.toml`
+//! encodes the same split: `hopp_prof::span` is allowed everywhere
+//! while the raw clock accessor [`host_now_ns`] is a disallowed method.
 //!
 //! # Model
 //!
@@ -324,9 +323,9 @@ pub fn profile<T>(
 /// Raw host-clock readout in nanoseconds (monotonic, from an arbitrary
 /// process-wide epoch).
 ///
-/// **Harness code only.** The `hopp-check` determinism rule bans this
-/// accessor in sim-critical crates: sim code profiles through [`span`]
-/// scope guards, which never return the measured time.
+/// **Not for general use.** The root `clippy.toml` bans this accessor
+/// workspace-wide: code profiles through [`span`] scope guards, which
+/// never return the measured time.
 pub fn host_now_ns() -> u64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -525,7 +524,15 @@ mod tests {
     use super::*;
 
     fn spin(ns: u64) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the profiler's own tests burn host time"
+        )]
         let until = host_now_ns() + ns;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the profiler's own tests burn host time"
+        )]
         while host_now_ns() < until {
             std::hint::black_box(0u64);
         }

@@ -320,9 +320,10 @@ impl<R: Read> HstReader<R> {
     /// Returns [`ScnError::Format`] on malformed records, a count or
     /// checksum mismatch, or truncation; [`ScnError::Io`] on read
     /// failures.
-    // Not `Iterator`: decoding is fallible, so the signature is
-    // `Result<Option<_>>` rather than `Option<Item>`.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "decoding is fallible, so this returns `Result<Option<_>>`, not `Option<Item>`"
+    )]
     pub fn next(&mut self) -> ScnResult<Option<PageAccess>> {
         if self.finished {
             return Ok(None);

@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! hopp-scn: the workload scenario engine.
 //!
 //! Two ways to get past the fifteen-workload catalogue, both producing

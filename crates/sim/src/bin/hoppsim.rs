@@ -1,3 +1,11 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! `hoppsim` — run a disaggregated-memory simulation from the command
 //! line.
 //!
@@ -507,7 +515,10 @@ fn slug(s: &str) -> String {
 /// A fatal run error (lost page, exhausted pool) ends the CLI with the
 /// error's full context on stderr and a non-zero exit code. Takes the
 /// error by value to slot into `unwrap_or_else` directly.
-#[allow(clippy::needless_pass_by_value)]
+#[allow(
+    clippy::needless_pass_by_value,
+    reason = "slots into `unwrap_or_else` directly"
+)]
 fn fail_run(e: hopp_types::Error) -> SimReport {
     eprintln!("run failed: {e}");
     std::process::exit(1);

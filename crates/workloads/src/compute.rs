@@ -163,6 +163,10 @@ pub fn microbench(pid: Pid, footprint: u64, _seed: u64) -> Box<dyn AccessStream>
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code is exempt from the determinism bans"
+)]
 mod tests {
     use super::*;
 

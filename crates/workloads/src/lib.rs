@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 //! Synthetic access-pattern models of the paper's 15 applications.
 //!
 //! The paper evaluates real binaries (Spark/GraphX jobs, NPB kernels,
@@ -257,6 +265,10 @@ impl WorkloadKind {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code is exempt from the determinism bans"
+)]
 mod tests {
     use super::*;
 

@@ -203,6 +203,10 @@ pub fn is(pid: Pid, footprint: u64, seed: u64) -> Box<dyn AccessStream> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code is exempt from the determinism bans"
+)]
 mod tests {
     use super::*;
 
