@@ -92,23 +92,35 @@ impl HoppEngine {
 
     /// Consumes one hot page from the hardware pipeline and returns the
     /// prefetch orders it triggers (empty while streams are still in
-    /// training or the window matches no pattern).
+    /// training or the window matches no pattern). Allocates the
+    /// returned vector; the simulator uses
+    /// [`HoppEngine::on_hot_page_into`] with a reused buffer instead.
     pub fn on_hot_page(&mut self, hot: &HotPage) -> Vec<PrefetchOrder> {
-        self.on_hot_page_rec(hot, &mut NopRecorder)
+        let mut orders = Vec::new();
+        self.on_hot_page_into(hot, &mut NopRecorder, &mut orders);
+        orders
     }
 
-    /// [`HoppEngine::on_hot_page`], recording the stream lifecycle (via
-    /// the STT) and an [`Event::TierDecision`] whenever a training
-    /// window is classified by one of the tiers (or the Markov trainer
-    /// makes a prediction).
-    pub fn on_hot_page_rec(&mut self, hot: &HotPage, rec: &mut dyn Recorder) -> Vec<PrefetchOrder> {
+    /// Consumes one hot page and appends the prefetch orders it
+    /// triggers to `orders`, recording the stream lifecycle (via the
+    /// STT) and an [`Event::TierDecision`] whenever a training window is
+    /// classified by one of the tiers (or the Markov trainer makes a
+    /// prediction). Allocation-free once `orders` has grown to the
+    /// per-hot-page order count.
+    pub fn on_hot_page_into<R: Recorder + ?Sized>(
+        &mut self,
+        hot: &HotPage,
+        rec: &mut R,
+        orders: &mut Vec<PrefetchOrder>,
+    ) {
         let _prof = hopp_prof::span("core/train");
         if self.ignore_shared && hot.flags.shared {
-            return Vec::new();
+            return;
         }
         if let Some(markov) = &mut self.markov {
-            let orders = markov.on_hot_page(hot);
-            if rec.is_enabled() && !orders.is_empty() {
+            let before = orders.len();
+            markov.on_hot_page(hot, orders);
+            if rec.is_enabled() && orders.len() > before {
                 rec.record(
                     hot.at,
                     Event::TierDecision {
@@ -118,21 +130,21 @@ impl HoppEngine {
                     },
                 );
             }
-            return orders;
+            return;
         }
         self.hot_pages_seen += 1;
         // Policy state (offsets, batch frontiers) is keyed by StreamId;
         // prune entries of streams the STT has since recycled so state
         // stays bounded over arbitrarily long runs.
         if self.hot_pages_seen.is_multiple_of(4_096) {
-            let live: std::collections::BTreeSet<StreamId> = self.stt.live_stream_ids().collect();
-            self.policy.retain_streams(|s| live.contains(&s));
+            let stt = &self.stt;
+            self.policy.retain_streams(|s| stt.is_live(s));
         }
         let Some(window) = self.stt.observe_rec(hot, rec) else {
-            return Vec::new();
+            return;
         };
         let Some(prediction) = self.tiers.predict(&window) else {
-            return Vec::new();
+            return;
         };
         if rec.is_enabled() {
             let tier = match prediction.tier() {
@@ -149,7 +161,7 @@ impl HoppEngine {
                 },
             );
         }
-        self.policy.finalize(&window, prediction)
+        self.policy.finalize(&window, prediction, orders);
     }
 
     /// Feeds back the timeliness of a prefetched page (measured by the

@@ -158,41 +158,47 @@ impl PolicyEngine {
             .unwrap_or_else(|| self.offsets.get(&stream).copied().unwrap_or(1.0))
     }
 
-    /// Turns a tier prediction into concrete orders: `intensity` pages
-    /// at offsets `i, i+1, …` along the pattern — or, for a proven long
-    /// stride-1 stream with huge batching enabled, one span-512 order.
-    pub fn finalize(&mut self, window: &StreamWindow, prediction: Prediction) -> Vec<PolicyOrder> {
-        if let Some(orders) = self.try_huge_batch(window, prediction) {
-            self.stats.orders += orders.len() as u64;
-            return orders;
-        }
-        let base = self.offset_of(window.stream).round().max(1.0) as i64;
-        let vpn_a = window.vpn_a();
-        let mut orders = Vec::with_capacity(self.config.intensity as usize);
-        for j in 0..i64::from(self.config.intensity) {
-            if let Some(vpn) = prediction.target(vpn_a, base + j) {
-                orders.push(PolicyOrder {
-                    pid: window.pid,
-                    vpn,
-                    span: 1,
-                    stream: window.stream,
-                    tier: prediction.tier(),
-                });
+    /// Turns a tier prediction into concrete orders, appended to
+    /// `orders`: `intensity` pages at offsets `i, i+1, …` along the
+    /// pattern — or, for a proven long stride-1 stream with huge
+    /// batching enabled, one span-512 order.
+    pub fn finalize(
+        &mut self,
+        window: &StreamWindow,
+        prediction: Prediction,
+        orders: &mut Vec<PolicyOrder>,
+    ) {
+        let before = orders.len();
+        if !self.try_huge_batch(window, prediction, orders) {
+            let base = self.offset_of(window.stream).round().max(1.0) as i64;
+            let vpn_a = window.vpn_a();
+            for j in 0..i64::from(self.config.intensity) {
+                if let Some(vpn) = prediction.target(vpn_a, base + j) {
+                    orders.push(PolicyOrder {
+                        pid: window.pid,
+                        vpn,
+                        span: 1,
+                        stream: window.stream,
+                        tier: prediction.tier(),
+                    });
+                }
             }
         }
-        self.stats.orders += orders.len() as u64;
-        orders
+        self.stats.orders += (orders.len() - before) as u64;
     }
 
     /// §IV: long stride-1 streams are served in 2 MB batches. Returns
-    /// `Some` when batching takes over order generation for this window
-    /// (possibly with no orders, when the stream is already covered).
+    /// `true` when batching takes over order generation for this window
+    /// (possibly with no order, when the stream is already covered).
     fn try_huge_batch(
         &mut self,
         window: &StreamWindow,
         prediction: Prediction,
-    ) -> Option<Vec<PolicyOrder>> {
-        let hb = self.config.huge_batch?;
+        orders: &mut Vec<PolicyOrder>,
+    ) -> bool {
+        let Some(hb) = self.config.huge_batch else {
+            return false;
+        };
         // Only unit-stride forward streams map onto a contiguous 2 MB
         // region worth of future pages.
         let unit_stride = matches!(
@@ -200,12 +206,12 @@ impl PolicyEngine {
             Prediction::Simple { stride: 1 } | Prediction::Ripple
         );
         if !unit_stride {
-            return None;
+            return false;
         }
         let count = self.confirmations.entry(window.stream).or_insert(0);
         *count += 1;
         if *count < hb.min_confirmations {
-            return None;
+            return false;
         }
         let vpn_a = window.vpn_a().raw();
         let covered = self
@@ -216,18 +222,19 @@ impl PolicyEngine {
         // Re-batch when consumption approaches the covered frontier.
         let lookahead = u64::from(hb.batch_pages) / 4;
         if vpn_a + lookahead < covered {
-            return Some(Vec::new());
+            return true;
         }
         let start = covered.max(vpn_a + 1);
         self.batched_until
             .insert(window.stream, start + u64::from(hb.batch_pages));
-        Some(vec![PolicyOrder {
+        orders.push(PolicyOrder {
             pid: window.pid,
             vpn: Vpn::new(start),
             span: hb.batch_pages,
             stream: window.stream,
             tier: prediction.tier(),
-        }])
+        });
+        true
     }
 
     /// Feeds back the measured timeliness of a prefetched page of
@@ -294,12 +301,27 @@ mod tests {
         last.unwrap().stream
     }
 
-    fn window(stream: StreamId) -> StreamWindow {
+    fn finalize(
+        pe: &mut PolicyEngine,
+        window: &StreamWindow,
+        prediction: Prediction,
+    ) -> Vec<PolicyOrder> {
+        let mut orders = Vec::new();
+        pe.finalize(window, prediction, &mut orders);
+        orders
+    }
+
+    fn window(stream: StreamId) -> StreamWindow<'static> {
         StreamWindow {
             stream,
             pid: Pid::new(1),
-            vpn_history: vec![Vpn::new(100), Vpn::new(102), Vpn::new(104), Vpn::new(106)],
-            stride_history: vec![2, 2, 2],
+            vpn_history: Vec::leak(vec![
+                Vpn::new(100),
+                Vpn::new(102),
+                Vpn::new(104),
+                Vpn::new(106),
+            ]),
+            stride_history: &[2, 2, 2],
             at: Nanos::ZERO,
         }
     }
@@ -308,7 +330,7 @@ mod tests {
     fn default_offset_is_one() {
         let mut pe = PolicyEngine::new(PolicyConfig::default());
         let s = sid(0);
-        let orders = pe.finalize(&window(s), Prediction::Simple { stride: 2 });
+        let orders = finalize(&mut pe, &window(s), Prediction::Simple { stride: 2 });
         assert_eq!(orders.len(), 1);
         assert_eq!(orders[0].vpn, Vpn::new(108), "VPN_A + 1*stride");
         assert_eq!(orders[0].tier, Tier::Simple);
@@ -322,7 +344,7 @@ mod tests {
             pe.record_timeliness(s, Nanos::from_micros(10)); // < T_min
         }
         // 1.0 * 1.2^4 ≈ 2.07 → rounds to 2.
-        let orders = pe.finalize(&window(s), Prediction::Simple { stride: 2 });
+        let orders = finalize(&mut pe, &window(s), Prediction::Simple { stride: 2 });
         assert_eq!(orders[0].vpn, Vpn::new(110), "VPN_A + 2*stride");
         assert_eq!(pe.stats().too_late, 4);
     }
@@ -368,7 +390,7 @@ mod tests {
         let s = sid(0);
         pe.record_timeliness(s, Nanos::ZERO);
         assert_eq!(pe.offset_of(s), 20_000.0);
-        let orders = pe.finalize(&window(s), Prediction::Ripple);
+        let orders = finalize(&mut pe, &window(s), Prediction::Ripple);
         assert_eq!(orders[0].vpn, Vpn::new(106 + 20_000));
     }
 
@@ -379,7 +401,7 @@ mod tests {
             ..Default::default()
         });
         let s = sid(0);
-        let orders = pe.finalize(&window(s), Prediction::Simple { stride: 2 });
+        let orders = finalize(&mut pe, &window(s), Prediction::Simple { stride: 2 });
         let vpns: Vec<u64> = orders.iter().map(|o| o.vpn.raw()).collect();
         assert_eq!(vpns, vec![108, 110, 112]);
     }
@@ -420,31 +442,35 @@ mod tests {
         let w = |last: u64| StreamWindow {
             stream: s,
             pid: Pid::new(1),
-            vpn_history: vec![
+            vpn_history: Vec::leak(vec![
                 Vpn::new(last - 3),
                 Vpn::new(last - 2),
                 Vpn::new(last - 1),
                 Vpn::new(last),
-            ],
-            stride_history: vec![1, 1, 1],
+            ]),
+            stride_history: &[1, 1, 1],
             at: Nanos::ZERO,
         };
         // First two confirmations: plain single-page orders.
         for k in 0..2u64 {
-            let o = pe.finalize(&w(1_000 + k), Prediction::Simple { stride: 1 });
+            let o = finalize(&mut pe, &w(1_000 + k), Prediction::Simple { stride: 1 });
             assert_eq!(o.len(), 1);
             assert_eq!(o[0].span, 1);
         }
         // Third: one 512-page batch starting right after VPN_A.
-        let o = pe.finalize(&w(1_002), Prediction::Simple { stride: 1 });
+        let o = finalize(&mut pe, &w(1_002), Prediction::Simple { stride: 1 });
         assert_eq!(o.len(), 1);
         assert_eq!(o[0].span, 512);
         assert_eq!(o[0].vpn, Vpn::new(1_003));
         // While consumption is far from the frontier: nothing issued.
-        let o = pe.finalize(&w(1_003), Prediction::Simple { stride: 1 });
+        let o = finalize(&mut pe, &w(1_003), Prediction::Simple { stride: 1 });
         assert!(o.is_empty());
         // Approaching the frontier (within batch/4): the next batch.
-        let o = pe.finalize(&w(1_003 + 512 - 100), Prediction::Simple { stride: 1 });
+        let o = finalize(
+            &mut pe,
+            &w(1_003 + 512 - 100),
+            Prediction::Simple { stride: 1 },
+        );
         assert_eq!(o.len(), 1);
         assert_eq!(o[0].vpn, Vpn::new(1_003 + 512));
         assert_eq!(o[0].span, 512);
@@ -460,7 +486,7 @@ mod tests {
             ..Default::default()
         });
         let s = sid(0);
-        let o = pe.finalize(&window(s), Prediction::Simple { stride: 2 });
+        let o = finalize(&mut pe, &window(s), Prediction::Simple { stride: 2 });
         assert_eq!(o.len(), 1);
         assert_eq!(o[0].span, 1, "stride-2 streams are not batchable");
     }

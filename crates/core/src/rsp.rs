@@ -54,7 +54,7 @@ mod tests {
     use crate::stt::{StreamId, StreamWindow};
     use hopp_types::{Nanos, Pid, Vpn};
 
-    fn window_from_vpns(vpns: &[u64]) -> StreamWindow {
+    fn window_from_vpns(vpns: &[u64]) -> StreamWindow<'static> {
         let vpn_history: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
         let stride_history: Vec<i64> = vpn_history
             .windows(2)
@@ -66,8 +66,8 @@ mod tests {
                 generation: 0,
             },
             pid: Pid::new(1),
-            vpn_history,
-            stride_history,
+            vpn_history: Vec::leak(vpn_history),
+            stride_history: Vec::leak(stride_history),
             at: Nanos::ZERO,
         }
     }

@@ -20,13 +20,15 @@ use crate::stt::StreamWindow;
 /// use hopp_types::{HotPage, Nanos, PageFlags, Pid, Vpn};
 ///
 /// let mut stt = StreamTrainingTable::new(SttConfig { history: 4, ..Default::default() })?;
-/// let mut window = None;
+/// let mut stride = None;
 /// for v in [10u64, 13, 16, 19] {
 ///     let hot = HotPage { pid: Pid::new(1), vpn: Vpn::new(v),
 ///                         flags: PageFlags::default(), at: Nanos::ZERO };
-///     window = stt.observe(&hot).or(window);
+///     if let Some(window) = stt.observe(&hot) {
+///         stride = ssp::dominant_stride(&window);
+///     }
 /// }
-/// assert_eq!(ssp::dominant_stride(&window.unwrap()), Some(3));
+/// assert_eq!(stride, Some(3));
 /// # Ok::<(), hopp_types::Error>(())
 /// ```
 pub fn dominant_stride(window: &StreamWindow) -> Option<i64> {
@@ -58,7 +60,7 @@ mod tests {
     use crate::stt::StreamId;
     use hopp_types::{Nanos, Pid, Vpn};
 
-    fn window(strides: &[i64]) -> StreamWindow {
+    fn window(strides: &[i64]) -> StreamWindow<'static> {
         let mut vpns = vec![Vpn::new(1_000)];
         for &s in strides {
             let last = *vpns.last().unwrap();
@@ -70,8 +72,8 @@ mod tests {
                 generation: 0,
             },
             pid: Pid::new(1),
-            vpn_history: vpns,
-            stride_history: strides.to_vec(),
+            vpn_history: Vec::leak(vpns),
+            stride_history: Vec::leak(strides.to_vec()),
             at: Nanos::ZERO,
         }
     }

@@ -207,7 +207,7 @@ mod tests {
     use crate::stt::{StreamId, StreamWindow};
     use hopp_types::{Nanos, Pid};
 
-    fn window_from_vpns(vpns: &[u64]) -> StreamWindow {
+    fn window_from_vpns(vpns: &[u64]) -> StreamWindow<'static> {
         let vpn_history: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
         let stride_history: Vec<i64> = vpn_history
             .windows(2)
@@ -219,17 +219,17 @@ mod tests {
                 generation: 0,
             },
             pid: Pid::new(1),
-            vpn_history,
-            stride_history,
+            vpn_history: Vec::leak(vpn_history),
+            stride_history: Vec::leak(stride_history),
             at: Nanos::ZERO,
         }
     }
 
-    fn simple_window() -> StreamWindow {
+    fn simple_window() -> StreamWindow<'static> {
         window_from_vpns(&(0..16).map(|k| 100 + 4 * k).collect::<Vec<_>>())
     }
 
-    fn ladder_window() -> StreamWindow {
+    fn ladder_window() -> StreamWindow<'static> {
         // Strides cycle (2, 12, 7): no majority, but the 2-stride
         // pattern repeats.
         let mut vpns = vec![0u64];
@@ -241,7 +241,7 @@ mod tests {
         window_from_vpns(&vpns)
     }
 
-    fn ripple_window() -> StreamWindow {
+    fn ripple_window() -> StreamWindow<'static> {
         // Stride-1 scan with pervasive adjacent swaps: no single stride
         // dominates (SSP fails), the newest stride pair never repeats
         // (LSP fails), but cumulative strides keep returning to 0 (RSP).
@@ -250,7 +250,7 @@ mod tests {
         ])
     }
 
-    fn random_window() -> StreamWindow {
+    fn random_window() -> StreamWindow<'static> {
         window_from_vpns(&[
             100, 900, 40, 7000, 3, 650, 12000, 88, 4100, 77, 950, 31, 8000, 210, 5, 666,
         ])

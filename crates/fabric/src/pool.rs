@@ -114,6 +114,8 @@ pub struct MemoryPool {
     has_faults: bool,
     failovers: u64,
     failed_writes: u64,
+    /// Reused per-node page counts of one span read.
+    span_pages: Vec<u32>,
 }
 
 impl MemoryPool {
@@ -128,6 +130,7 @@ impl MemoryPool {
             has_faults: false,
             failovers: 0,
             failed_writes: 0,
+            span_pages: vec![0; config.nodes],
         })
     }
 
@@ -142,6 +145,7 @@ impl MemoryPool {
             has_faults: false,
             failovers: 0,
             failed_writes: 0,
+            span_pages: vec![0; 1],
         }
     }
 
@@ -392,21 +396,28 @@ impl RemotePool for MemoryPool {
         // Group the span's pages by primary node: one transfer per
         // node, completion when the last group lands. A single-node
         // pool degenerates to exactly one span-sized read.
-        let n = self.config.nodes;
-        let mut per_node = vec![0u32; n];
+        let mut per_node = std::mem::take(&mut self.span_pages);
+        per_node.clear();
+        per_node.resize(self.config.nodes, 0);
         for i in 0..span.max(1) {
             let v = vpn.offset_saturating(i64::from(i));
             per_node[self.primary_of(pid, v)] += 1;
         }
-        let mut done = now;
+        let mut done = Ok(now);
         for (idx, &pages) in per_node.iter().enumerate() {
             if pages == 0 {
                 continue;
             }
-            let d = self.read_from(idx, pid, vpn, pages as usize * PAGE_SIZE, now, rec)?;
-            done = done.max(d);
+            match self.read_from(idx, pid, vpn, pages as usize * PAGE_SIZE, now, rec) {
+                Ok(d) => done = done.map(|t| t.max(d)),
+                Err(e) => {
+                    done = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(done)
+        self.span_pages = per_node;
+        done
     }
 
     fn write_page(&mut self, pid: Pid, vpn: Vpn, now: Nanos, rec: &mut dyn Recorder) -> Nanos {

@@ -126,6 +126,8 @@ const INVALID: HpdEntry = HpdEntry {
 
 /// The hot page detection table.
 ///
+/// The entries live in one flat, set-major array (`set * ways + way`).
+///
 /// # Example
 ///
 /// ```
@@ -138,12 +140,15 @@ const INVALID: HpdEntry = HpdEntry {
 /// assert_eq!(hpd.on_miss(page.line(1), AccessKind::Read), Some(page));
 /// // Send bit set: further accesses are dropped.
 /// assert_eq!(hpd.on_miss(page.line(2), AccessKind::Read), None);
+/// // Three misses of another page in one lookup: the second one fires.
+/// assert_eq!(hpd.on_misses(Ppn::new(41), AccessKind::Read, 3), Some(1));
 /// # Ok::<(), hopp_types::Error>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct HotPageDetector {
     config: HpdConfig,
-    sets: Vec<Vec<HpdEntry>>,
+    entries: Vec<HpdEntry>,
+    set_mask: u64,
     clock: u64,
     stats: HpdStats,
 }
@@ -157,7 +162,8 @@ impl HotPageDetector {
     pub fn new(config: HpdConfig) -> Result<Self> {
         config.validate()?;
         Ok(HotPageDetector {
-            sets: vec![vec![INVALID; config.ways]; config.sets],
+            entries: vec![INVALID; config.ways * config.sets],
+            set_mask: config.sets as u64 - 1,
             config,
             clock: 0,
             stats: HpdStats::default(),
@@ -172,67 +178,79 @@ impl HotPageDetector {
     /// Processes one LLC miss; returns the PPN if this miss makes the
     /// page hot.
     pub fn on_miss(&mut self, line: LineAddr, kind: AccessKind) -> Option<Ppn> {
-        if !kind.is_read() {
-            self.stats.writes_ignored += 1;
-            return None;
-        }
-        self.stats.reads += 1;
-        self.clock += 1;
         let ppn = line.ppn();
-        let set_idx = (ppn.raw() % self.config.sets as u64) as usize;
-        let set = &mut self.sets[set_idx];
+        self.on_misses(ppn, kind, 1).map(|_| ppn)
+    }
 
-        if let Some(entry) = set.iter_mut().find(|e| e.valid && e.ppn == ppn) {
-            entry.lru = self.clock;
-            if entry.sent {
-                self.stats.send_bit_drops += 1;
-                return None;
-            }
-            entry.count += 1;
-            if entry.count >= self.config.threshold {
-                entry.sent = true;
-                self.stats.hot_pages += 1;
-                return Some(ppn);
-            }
+    /// Processes `k` consecutive LLC misses of one page with a single
+    /// set lookup, exactly as `k` calls to [`HotPageDetector::on_miss`]
+    /// would. Returns the index (`0..k`) of the miss that makes the
+    /// page hot, if one does; the misses after it are send-bit drops.
+    pub fn on_misses(&mut self, ppn: Ppn, kind: AccessKind, k: u32) -> Option<u32> {
+        if k == 0 {
             return None;
         }
-
-        // Insert, evicting LRU if the set is full.
-        #[expect(
-            clippy::expect_used,
-            reason = "HpdConfig::validate rejects zero ways at construction"
-        )]
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru } else { 0 })
-            .expect("ways >= 1 validated");
-        if victim.valid {
-            if victim.sent {
-                self.stats.sent_evictions += 1;
-            } else {
-                self.stats.cold_evictions += 1;
+        if !kind.is_read() {
+            self.stats.writes_ignored += u64::from(k);
+            return None;
+        }
+        self.stats.reads += u64::from(k);
+        let first = ((ppn.raw() & self.set_mask) as usize) * self.config.ways;
+        let set = &mut self.entries[first..first + self.config.ways];
+        let entry = match set.iter().position(|e| e.valid && e.ppn == ppn) {
+            Some(way) => &mut set[way],
+            None => {
+                // Insert, evicting LRU if the set is full; the entry
+                // then counts its misses like a resident one.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "HpdConfig::validate rejects zero ways at construction"
+                )]
+                let victim = set
+                    .iter_mut()
+                    .min_by_key(|e| if e.valid { e.lru } else { 0 })
+                    .expect("ways >= 1 validated");
+                if victim.valid {
+                    if victim.sent {
+                        self.stats.sent_evictions += 1;
+                    } else {
+                        self.stats.cold_evictions += 1;
+                    }
+                }
+                *victim = HpdEntry {
+                    ppn,
+                    valid: true,
+                    ..INVALID
+                };
+                victim
             }
-        }
-        *victim = HpdEntry {
-            ppn,
-            count: 1,
-            sent: false,
-            valid: true,
-            lru: self.clock,
         };
-        if self.config.threshold == 1 {
-            victim.sent = true;
-            self.stats.hot_pages += 1;
-            return Some(ppn);
+        // Every miss advanced the clock and touched the entry; only the
+        // last stamp survives.
+        self.clock += u64::from(k);
+        entry.lru = self.clock;
+        if entry.sent {
+            self.stats.send_bit_drops += u64::from(k);
+            return None;
         }
-        None
+        // An unsent entry is below the threshold, so `need >= 1`.
+        let need = self.config.threshold - entry.count;
+        if k < need {
+            entry.count += k;
+            return None;
+        }
+        entry.count = self.config.threshold;
+        entry.sent = true;
+        self.stats.hot_pages += 1;
+        self.stats.send_bit_drops += u64::from(k - need);
+        Some(need - 1)
     }
 
     /// Invalidate the entry of a page leaving DRAM, so its counter does
     /// not linger.
     pub fn invalidate(&mut self, ppn: Ppn) {
-        let set_idx = (ppn.raw() % self.config.sets as u64) as usize;
-        for entry in &mut self.sets[set_idx] {
+        let first = ((ppn.raw() & self.set_mask) as usize) * self.config.ways;
+        for entry in &mut self.entries[first..first + self.config.ways] {
             if entry.valid && entry.ppn == ppn {
                 entry.valid = false;
             }

@@ -10,11 +10,18 @@
 //!   table (eviction or invalidation);
 //! * sets are isolated: traffic in one set never disturbs another;
 //! * replacement is exact LRU over 16 ways × 4 sets, preferring
-//!   invalid ways.
+//!   invalid ways;
+//! * `k` misses applied with one lookup (`on_misses`, and per page
+//!   across channels with `McPipeline::on_page_misses`) behave exactly
+//!   like `k` single misses: same firing miss, hot pages, counters and
+//!   bandwidth ledger.
 
 use hopp_hw::hpd::{HotPageDetector, HpdConfig};
+use hopp_hw::{McPipeline, RptCacheConfig};
+use hopp_mem::PteListener;
+use hopp_obs::NopRecorder;
 use hopp_types::rng::SplitMix64;
-use hopp_types::{AccessKind, Ppn};
+use hopp_types::{AccessKind, Nanos, Pid, Ppn, Vpn, LINES_PER_PAGE};
 
 /// A transparent reference model of one HPD set: a plain vector with
 /// the documented LRU policy, no cleverness. The real table must match
@@ -238,4 +245,116 @@ fn replacement_is_exact_lru_over_sixteen_ways() {
         h.on_miss(pages[5].line(9), AccessKind::Read),
         Some(pages[5])
     );
+}
+
+/// A random read or write of a random page, `None` for a reclaim.
+fn random_op(rng: &mut SplitMix64, pages: u64) -> (Ppn, Option<AccessKind>) {
+    let ppn = Ppn::new(rng.gen_range(0..pages));
+    match rng.gen_range(0..16) {
+        0 => (ppn, None),
+        1..=3 => (ppn, Some(AccessKind::Write)),
+        _ => (ppn, Some(AccessKind::Read)),
+    }
+}
+
+#[test]
+fn batched_misses_match_single_misses() {
+    for (seed, pages, threshold) in [
+        (11u64, 16u64, 1u32),
+        (12, 48, 2),
+        (13, 96, 8),
+        (14, 192, 64),
+        (15, 64, 8),
+    ] {
+        let config = HpdConfig::with_threshold(threshold);
+        let mut batched = HotPageDetector::new(config).unwrap();
+        let mut single = batched.clone();
+        let mut reference = RefModel::new(config);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        for step in 0..20_000u32 {
+            let (ppn, kind) = random_op(&mut rng, pages);
+            let Some(kind) = kind else {
+                batched.invalidate(ppn);
+                single.invalidate(ppn);
+                reference.invalidate(ppn);
+                continue;
+            };
+            let k = rng.gen_range(0..LINES_PER_PAGE as u64 + 1) as u32;
+            let mut want = None;
+            for i in 0..k {
+                let line = ppn.line(i as u8);
+                let fired = single.on_miss(line, kind).is_some();
+                if kind.is_read() {
+                    assert_eq!(fired, reference.on_read(ppn).is_some());
+                }
+                if fired {
+                    want = want.or(Some(i));
+                }
+            }
+            assert_eq!(
+                batched.on_misses(ppn, kind, k),
+                want,
+                "seed {seed}: step {step}, {k} misses of {ppn:?}"
+            );
+            assert_eq!(batched.stats(), single.stats(), "seed {seed}: step {step}");
+        }
+    }
+}
+
+#[test]
+fn page_walks_match_per_line_misses_on_every_channel_count() {
+    const PAGES: u64 = 160;
+    for channels in 1..=4 {
+        for threshold in [1u32, 2, 8, 64] {
+            let hpd = HpdConfig::with_threshold(threshold);
+            let mut per_line =
+                McPipeline::with_channels(hpd, RptCacheConfig::default(), channels).unwrap();
+            // Two pages in three resolve, so dropped hot pages show too.
+            for p in (0..PAGES).filter(|p| p % 3 != 0) {
+                per_line.pte_set(Pid::new(1), Vpn::new(0x1000 + p), Ppn::new(p));
+            }
+            let mut per_page = per_line.clone();
+            let mut rng = SplitMix64::seed_from_u64(channels as u64 * 100 + u64::from(threshold));
+            let mut fired = Vec::new();
+            for step in 0..4_000u64 {
+                let (ppn, kind) = random_op(&mut rng, PAGES);
+                let Some(kind) = kind else {
+                    per_line.on_page_reclaimed(ppn);
+                    per_page.on_page_reclaimed(ppn);
+                    continue;
+                };
+                // A random subset of a random-length walk missed.
+                let lines = rng.gen_range(1..LINES_PER_PAGE as u64 + 1) as u32;
+                let walked = u64::MAX.checked_shr(64 - lines).unwrap_or(0);
+                let mask = if rng.gen_bool(0.5) {
+                    walked
+                } else {
+                    rng.next_u64() & walked
+                };
+                let now = Nanos::from_nanos(step);
+                let mut want_fired = Vec::new();
+                let mut want_hot = Vec::new();
+                for i in (0..64u8).filter(|i| mask >> i & 1 == 1) {
+                    let before = per_line.hpd_stats().hot_pages;
+                    let hot = per_line.on_llc_miss(ppn.line(i), kind, now);
+                    if per_line.hpd_stats().hot_pages > before {
+                        want_fired.push(i);
+                    }
+                    want_hot.extend(hot);
+                }
+                fired.clear();
+                per_page.on_page_misses(ppn, kind, mask, &mut fired);
+                let got_hot: Vec<_> = fired
+                    .iter()
+                    .filter_map(|_| per_page.resolve_hot(ppn, now, &mut NopRecorder))
+                    .collect();
+                let at = format!("{channels} channel(s), N {threshold}, step {step}");
+                assert_eq!(fired, want_fired, "{at}: fired lines");
+                assert_eq!(got_hot, want_hot, "{at}: hot pages");
+                assert_eq!(per_page.hpd_stats(), per_line.hpd_stats(), "{at}: stats");
+                assert_eq!(per_page.ledger(), per_line.ledger(), "{at}: ledger");
+            }
+            assert!(per_page.hpd_stats().hot_pages > 0);
+        }
+    }
 }

@@ -73,6 +73,12 @@ impl Nanos {
         Nanos(self.0.saturating_sub(earlier.0))
     }
 
+    /// `n` back-to-back copies of this duration, saturating at
+    /// [`Nanos::MAX`] like `+`.
+    pub fn times(self, n: u64) -> Nanos {
+        Nanos(self.0.saturating_mul(n))
+    }
+
     /// The later of two times.
     pub fn max(self, other: Nanos) -> Nanos {
         if self.0 >= other.0 {
@@ -170,6 +176,8 @@ mod tests {
             Nanos::from_nanos(5).saturating_since(Nanos::from_nanos(9)),
             Nanos::ZERO
         );
+        assert_eq!(Nanos::from_nanos(3).times(4), Nanos::from_nanos(12));
+        assert_eq!(Nanos::from_secs(1).times(u64::MAX), Nanos::MAX);
     }
 
     #[test]

@@ -111,20 +111,22 @@ fn fault_path_extra_passes_do_not_grow_allocations() {
 
 #[test]
 fn hopp_per_fault_allocations_stay_bounded() {
-    // The HoPP stack still allocates per *training window* (the STT
-    // window snapshot and the order list are built per prediction), so
-    // it is not allocation-flat. The ceiling is coarse: at most 6
-    // allocations per extra access. It catches a regression to heavier
-    // per-access map churn, not the per-window allocations above.
+    // Training is allocation-free too: STT windows borrow the entry's
+    // history, and the engine and policy append orders to a buffer the
+    // simulator reuses. So HoPP's steady state must meet the same rule as
+    // the fault path: the 8 extra passes (4,096 extra full-page reads,
+    // each able to turn its page hot) may add at most half of the short
+    // run's allocations.
     let system = SystemConfig::hopp_default();
     let _ = allocs_for(system, 1);
     let short = allocs_for(system, 4);
     let long = allocs_for(system, 12);
-    let extra_accesses = PAGES * 8; // 12 - 4 extra passes
-    let growth = long.saturating_sub(short);
+    let budget = short / 2;
     assert!(
-        growth <= extra_accesses * 6,
-        "hopp steady-state allocation growth regressed: \
-         {growth} allocs over {extra_accesses} extra accesses"
+        long.saturating_sub(short) <= budget,
+        "hopp steady-state passes must not allocate per hot page: \
+         4 passes = {short} allocs, 12 passes = {long} allocs \
+         (growth {} > budget {budget})",
+        long - short,
     );
 }

@@ -319,9 +319,11 @@ fn markov_chains_are_acyclic() {
             depth,
             ..MarkovConfig::default()
         });
+        let mut orders = Vec::new();
         for _ in 0..len {
             let v = rng.gen_range(0..16);
-            let orders = m.on_hot_page(&hot(1, v, 0));
+            orders.clear();
+            m.on_hot_page(&hot(1, v, 0), &mut orders);
             assert!(orders.len() <= depth as usize);
             let mut seen = std::collections::HashSet::new();
             seen.insert(v);
