@@ -67,7 +67,14 @@ impl Prefetcher for FastswapReadahead {
 mod tests {
     use super::*;
     use hopp_kernel::SwapDevice;
+    use hopp_obs::NopRecorder;
     use hopp_types::{Nanos, Pid, SwapSlot, Vpn};
+
+    /// Swaps `vpn` of process 1 out at time zero, recording nothing.
+    fn swap_out(dev: &mut SwapDevice, vpn: u64) -> SwapSlot {
+        dev.alloc(Pid::new(1), Vpn::new(vpn), Nanos::ZERO, &mut NopRecorder)
+            .unwrap()
+    }
 
     fn fault(vpn: u64, slot: Option<SwapSlot>) -> FaultInfo {
         FaultInfo {
@@ -83,9 +90,7 @@ mod tests {
     fn prefetches_following_slots() {
         let mut dev = SwapDevice::new();
         // Pages evicted in order 10, 11, 12, 13: adjacent slots.
-        let slots: Vec<SwapSlot> = (10..14)
-            .map(|v| dev.alloc(Pid::new(1), Vpn::new(v)).unwrap())
-            .collect();
+        let slots: Vec<SwapSlot> = (10..14).map(|v| swap_out(&mut dev, v)).collect();
         let mut fs = FastswapReadahead::with_window(2);
         let mut out = Vec::new();
         fs.on_fault(&fault(10, Some(slots[0])), &dev, &mut out);
@@ -101,8 +106,8 @@ mod tests {
         // *other* stream half the time — the §II-B limitation.
         let mut slots = Vec::new();
         for k in 0..4u64 {
-            slots.push(dev.alloc(Pid::new(1), Vpn::new(100 + k)).unwrap());
-            slots.push(dev.alloc(Pid::new(1), Vpn::new(9_000 + k)).unwrap());
+            slots.push(swap_out(&mut dev, 100 + k));
+            slots.push(swap_out(&mut dev, 9_000 + k));
         }
         let mut fs = FastswapReadahead::with_window(2);
         let mut out = Vec::new();
@@ -124,10 +129,10 @@ mod tests {
     #[test]
     fn empty_slots_are_skipped() {
         let mut dev = SwapDevice::new();
-        let s0 = dev.alloc(Pid::new(1), Vpn::new(10)).unwrap();
-        let s1 = dev.alloc(Pid::new(1), Vpn::new(11)).unwrap();
+        let s0 = swap_out(&mut dev, 10);
+        let s1 = swap_out(&mut dev, 11);
         dev.free(s1); // slot 1 now empty
-        let s2 = dev.alloc(Pid::new(1), Vpn::new(12)).unwrap(); // reuses slot 1
+        let s2 = swap_out(&mut dev, 12); // reuses slot 1
         assert_eq!(s2, s1);
         let mut fs = FastswapReadahead::with_window(4);
         let mut out = Vec::new();

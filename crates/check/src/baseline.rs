@@ -30,7 +30,7 @@ pub const VERSION: usize = 1;
 /// One remembered finding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Entry {
-    /// Rule name (`determinism-taint`, …).
+    /// Rule name (`unit-hygiene`, …).
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn fingerprint_separates_fields() {
         // "ab" + "c" must not collide with "a" + "bc".
-        let a = finding(Rule::DeterminismTaint, "ab", "c");
-        let b = finding(Rule::DeterminismTaint, "a", "bc");
+        let a = finding(Rule::UnitHygiene, "ab", "c");
+        let b = finding(Rule::UnitHygiene, "a", "bc");
         assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -284,9 +284,9 @@ mod tests {
             vec![
                 finding(Rule::UnitHygiene, "crates/hw/src/lib.rs", "raw cast"),
                 finding(
-                    Rule::OrderingSensitivity,
+                    Rule::ConfigDrift,
                     "crates/obs/src/lib.rs",
-                    "hash-order loop",
+                    "harness root carries the lint line",
                 ),
             ],
             &[("unit-hygiene", 1)],
@@ -303,9 +303,9 @@ mod tests {
         let base = Baseline::from_report(&report(vec![], &[]));
         let rep = report(
             vec![finding(
-                Rule::DeterminismTaint,
+                Rule::UnitHygiene,
                 "crates/hw/src/lib.rs",
-                "`state.ns` absorbs `Instant`",
+                "`Vpn::new(… as …)` builds an ID from a raw cast",
             )],
             &[],
         );

@@ -1,25 +1,16 @@
-//! A minimal Rust lexer for scope-aware static analysis.
+//! A minimal Rust line lexer for the checker's line rules.
 //!
 //! The container this repo builds in has no crates.io access, so the
 //! checker cannot use `syn`. For the invariants `hopp-check` enforces
-//! (cast hygiene, crate-root lint lines and the dataflow analyses) a
-//! full AST is unnecessary. The lexer provides two
-//! views of a file:
-//!
-//! * a **line view**: for every source line, the *code* with comments
-//!   and literal contents blanked out (so `"HashMap"` in a string never
-//!   trips the ordering rule), the *comment text* (where waivers
-//!   live), whether the line sits inside a `#[cfg(test)]` region or
-//!   `#[test]` function, and the brace-scope depth at the line start;
-//! * a **token view** ([`tokenize`]): the blanked code stream split
-//!   into identifier / literal / operator / bracket tokens, each tagged
-//!   with its 1-based source line. The dataflow analyses
-//!   (`determinism-taint`, `ordering-sensitivity`) walk this stream
-//!   with an explicit scope stack instead of re-parsing lines.
+//! (cast hygiene and crate-root lint lines) a full AST is unnecessary:
+//! for every source line the lexer yields the *code* with comments and
+//! literal contents blanked out (so `"Vpn::new(x as u64)"` in a string
+//! never trips the cast rule), the *comment text* (where waivers live),
+//! and whether the line sits inside a `#[cfg(test)]` region or
+//! `#[test]` function.
 //!
 //! The lexer is a single character-level state machine over the file,
-//! followed by a brace-depth pass that marks test regions and records
-//! per-line scope depths.
+//! followed by a brace-depth pass that marks test regions.
 
 /// One analysed source line.
 #[derive(Clone, Debug)]
@@ -32,9 +23,6 @@ pub struct Line {
     pub comment: String,
     /// True when the line is inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
-    /// Brace-scope depth at the start of the line (0 = module level).
-    /// Braces inside strings, chars and comments do not count.
-    pub depth_start: i32,
 }
 
 /// A lexed file: per-line code/comment split plus test-region marks.
@@ -60,7 +48,6 @@ pub fn lex(src: &str) -> LexedFile {
     let code_lines: Vec<&str> = code.split('\n').collect();
     let comment_lines: Vec<&str> = comment.split('\n').collect();
     let tests = mark_test_regions(&code_lines);
-    let depths = line_start_depths(&code_lines);
     let lines = code_lines
         .iter()
         .enumerate()
@@ -68,197 +55,9 @@ pub fn lex(src: &str) -> LexedFile {
             code: (*c).to_string(),
             comment: comment_lines.get(i).copied().unwrap_or("").to_string(),
             in_test: tests[i],
-            depth_start: depths[i],
         })
         .collect();
     LexedFile { lines }
-}
-
-/// Brace-scope depth at the start of each (comment/literal-blanked)
-/// code line. Literal and comment braces were already removed from the
-/// code stream, so plain counting is exact here.
-fn line_start_depths(code_lines: &[&str]) -> Vec<i32> {
-    let mut depths = Vec::with_capacity(code_lines.len());
-    let mut depth: i32 = 0;
-    for line in code_lines {
-        depths.push(depth);
-        for c in line.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    depths
-}
-
-/// What a [`Tok`] is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TokKind {
-    /// Identifier or keyword (`let`, `HashMap`, `t0`, …).
-    Ident,
-    /// Numeric literal (`42`, `0x1f`, `1_024`).
-    Num,
-    /// String literal (contents blanked by the lexer).
-    Str,
-    /// Char literal (contents blanked by the lexer).
-    Char,
-    /// Lifetime (`'a`).
-    Lifetime,
-    /// Operator or punctuation, maximal-munch (`::`, `=>`, `+=`, `=`).
-    Op,
-    /// Opening bracket: `{`, `(` or `[`.
-    Open,
-    /// Closing bracket: `}`, `)` or `]`.
-    Close,
-}
-
-/// One token of the blanked code stream.
-#[derive(Clone, Debug)]
-pub struct Tok {
-    /// Token text (literal contents already blanked to `_`).
-    pub text: String,
-    /// 1-based source line the token starts on.
-    pub line: usize,
-    /// Token class.
-    pub kind: TokKind,
-}
-
-impl Tok {
-    /// True when the token is this exact identifier.
-    pub fn is_ident(&self, s: &str) -> bool {
-        self.kind == TokKind::Ident && self.text == s
-    }
-
-    /// True when the token is this exact operator/punctuation.
-    pub fn is_op(&self, s: &str) -> bool {
-        self.kind == TokKind::Op && self.text == s
-    }
-}
-
-/// Multi-char operators, longest first so maximal munch wins.
-const MULTI_OPS: [&str; 24] = [
-    "<<=", ">>=", "..=", "...", "==", "!=", "<=", ">=", "&&", "||", "->", "=>", "::", "+=", "-=",
-    "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>", "..",
-];
-
-/// Tokenizes the blanked code stream of a lexed file. Comments and
-/// literal contents are already gone, so this is a plain scanner; the
-/// scope structure (every `{`/`}` token) is exact.
-pub fn tokenize(lexed: &LexedFile) -> Vec<Tok> {
-    let mut toks = Vec::new();
-    for (idx, line) in lexed.lines.iter().enumerate() {
-        let lineno = idx + 1;
-        let chars: Vec<char> = line.code.chars().collect();
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
-            if c.is_whitespace() {
-                i += 1;
-                continue;
-            }
-            if c.is_alphabetic() || c == '_' {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                toks.push(Tok {
-                    text: chars[start..i].iter().collect(),
-                    line: lineno,
-                    kind: TokKind::Ident,
-                });
-                continue;
-            }
-            if c.is_ascii_digit() {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                toks.push(Tok {
-                    text: chars[start..i].iter().collect(),
-                    line: lineno,
-                    kind: TokKind::Num,
-                });
-                continue;
-            }
-            if c == '"' {
-                let start = i;
-                i += 1;
-                while i < chars.len() && chars[i] != '"' {
-                    i += 1;
-                }
-                i = (i + 1).min(chars.len());
-                toks.push(Tok {
-                    text: chars[start..i].iter().collect(),
-                    line: lineno,
-                    kind: TokKind::Str,
-                });
-                continue;
-            }
-            if c == '\'' {
-                // Blanked char literal ('_' / '__') vs lifetime ('a).
-                if is_char_literal(&chars, i) {
-                    let start = i;
-                    i += 1;
-                    while i < chars.len() && chars[i] != '\'' {
-                        i += 1;
-                    }
-                    i = (i + 1).min(chars.len());
-                    toks.push(Tok {
-                        text: chars[start..i].iter().collect(),
-                        line: lineno,
-                        kind: TokKind::Char,
-                    });
-                } else {
-                    let start = i;
-                    i += 1;
-                    while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                        i += 1;
-                    }
-                    toks.push(Tok {
-                        text: chars[start..i].iter().collect(),
-                        line: lineno,
-                        kind: TokKind::Lifetime,
-                    });
-                }
-                continue;
-            }
-            if matches!(c, '{' | '(' | '[') {
-                toks.push(Tok {
-                    text: c.to_string(),
-                    line: lineno,
-                    kind: TokKind::Open,
-                });
-                i += 1;
-                continue;
-            }
-            if matches!(c, '}' | ')' | ']') {
-                toks.push(Tok {
-                    text: c.to_string(),
-                    line: lineno,
-                    kind: TokKind::Close,
-                });
-                i += 1;
-                continue;
-            }
-            let rest: String = chars[i..chars.len().min(i + 3)].iter().collect();
-            let mut matched = 1;
-            for op in MULTI_OPS {
-                if rest.starts_with(op) {
-                    matched = op.len();
-                    break;
-                }
-            }
-            toks.push(Tok {
-                text: chars[i..i + matched].iter().collect(),
-                line: lineno,
-                kind: TokKind::Op,
-            });
-            i += matched;
-        }
-    }
-    toks
 }
 
 /// Splits source into parallel code and comment streams of identical
@@ -551,50 +350,5 @@ mod tests {
         assert!(f.lines[0].code.trim().is_empty());
         assert!(f.lines[1].code.contains("let k = 3;"));
         assert!(f.lines[0].comment.contains("one"));
-    }
-
-    #[test]
-    fn depth_ignores_braces_in_literals_and_comments() {
-        let src = "fn f() {\n    let s = \"{{{\"; // }}}\n    let c = '{';\n}\nfn g() {}\n";
-        let f = lex(src);
-        let depths: Vec<i32> = f.lines.iter().map(|l| l.depth_start).collect();
-        assert_eq!(depths, [0, 1, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn tokenize_classifies_and_munches_operators() {
-        let f = lex("let ns = t0.elapsed().as_nanos() as u64;\nif a == b && c != d { x += 1 }\n");
-        let toks = tokenize(&f);
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        assert!(texts.contains(&"elapsed"));
-        assert!(texts.contains(&"=="));
-        assert!(texts.contains(&"&&"));
-        assert!(texts.contains(&"!="));
-        assert!(texts.contains(&"+="));
-        // `==` must not be split into two `=` tokens.
-        assert_eq!(toks.iter().filter(|t| t.is_op("=")).count(), 1);
-        // Line tags are 1-based source lines.
-        let eq = toks.iter().find(|t| t.is_op("==")).unwrap();
-        assert_eq!(eq.line, 2);
-    }
-
-    #[test]
-    fn tokenize_keeps_lifetimes_apart_from_chars() {
-        let f = lex("fn f<'a>(x: &'a str) -> char { 'z' }\n");
-        let toks = tokenize(&f);
-        assert!(toks.iter().any(|t| t.kind == TokKind::Lifetime));
-        assert!(toks.iter().any(|t| t.kind == TokKind::Char));
-        // The generic's `<`/`>` arrive as plain ops; `(` and `{` as Open.
-        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Open).count(), 2);
-        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Close).count(), 2);
-    }
-
-    #[test]
-    fn tokenize_blanks_string_contents() {
-        let f = lex("let s = \"HashMap { }\";\n");
-        let toks = tokenize(&f);
-        let s = toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
-        assert!(!s.text.contains("HashMap"));
-        assert!(!toks.iter().any(|t| t.kind == TokKind::Open));
     }
 }

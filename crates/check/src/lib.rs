@@ -7,22 +7,13 @@
 //! common ways of breaking that contract from compiling into `main` at
 //! all, as machine-checkable rules over the whole workspace. Clippy
 //! owns the rules it can express (docs/static-analysis.md): the
-//! determinism bans of the root `clippy.toml`, the panic lints denied
-//! at every sim-critical crate root by [`SIM_CRITICAL_LINTS`], and
-//! `undocumented_unsafe_blocks`. This crate owns the rest:
+//! determinism bans of the root `clippy.toml` (host clocks, OS
+//! randomness, threads, `thread::current` and environment reads), the
+//! panic lints denied at every sim-critical crate root by
+//! [`SIM_CRITICAL_LINTS`], `iter_over_hash_type` and
+//! `undocumented_unsafe_blocks`. This crate owns the two rules clippy
+//! cannot express:
 //!
-//! * [`Rule::DeterminismTaint`] — scope-aware taint tracking: a value
-//!   *derived* from a banned host source (through let-bindings,
-//!   reassignments and same-file function returns) must not flow into
-//!   a sim-state field assignment or out of a function. Clippy sees the
-//!   type in `Instant::now()`; this sees `state.ns = t.elapsed()` two
-//!   statements later;
-//! * [`Rule::OrderingSensitivity`] — iterating an unordered
-//!   `HashMap`/`HashSet` must not mutate state or emit output that
-//!   outlives the loop, *workspace-wide*: harness crates escape the
-//!   `HashMap` ban, but artifact bytes must not depend on hash order.
-//!   `hopp_ds` types and `BTreeMap` iterate deterministically and are
-//!   never flagged;
 //! * [`Rule::UnitHygiene`] — no raw `as` casts into or out of the ID
 //!   newtypes (`Vpn`, `Ppn`, …) outside `crates/types`; use the explicit
 //!   conversion methods;
@@ -46,16 +37,14 @@
 //!
 //! The checker is dependency-free by design (the build environment is
 //! offline): instead of `syn` it uses a small comment/string/test-aware
-//! lexer plus a brace/scope-tracking token pass ([`lexer`]), which is
-//! exact for the token-level invariants enforced here and a sound
-//! best-effort for the dataflow analyses.
+//! line lexer ([`lexer`]), which is exact for the line-level invariants
+//! enforced here.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod baseline;
-mod dataflow;
 pub mod json;
 pub mod lexer;
 mod rules;
@@ -66,10 +55,6 @@ pub use rules::{HARNESS_CRATES, SIM_CRITICAL_CRATES, SIM_CRITICAL_LINTS};
 /// The rules `hopp-check` enforces.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Rule {
-    /// Host state laundered through bindings into sim state/returns.
-    DeterminismTaint,
-    /// Hash-order iteration driving state mutation or output.
-    OrderingSensitivity,
     /// Raw `as` casts into/out of ID newtypes outside `crates/types`.
     UnitHygiene,
     /// Workspace crates missing a sim-critical/harness class, or crate
@@ -79,31 +64,23 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 4] = [
-        Rule::DeterminismTaint,
-        Rule::OrderingSensitivity,
-        Rule::UnitHygiene,
-        Rule::ConfigDrift,
-    ];
+    pub const ALL: [Rule; 2] = [Rule::UnitHygiene, Rule::ConfigDrift];
 
     /// The rule's waiver name (`allow(<name>)`), also the SARIF ruleId.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::DeterminismTaint => "determinism-taint",
-            Rule::OrderingSensitivity => "ordering-sensitivity",
             Rule::UnitHygiene => "unit-hygiene",
             Rule::ConfigDrift => "config-drift",
         }
     }
 
-    /// Stable short rule ID (`HC02`…), never reused or renumbered —
+    /// Stable short rule ID (`HC05`…), never reused or renumbered —
     /// baselines and SARIF dashboards key on it. HC01 (determinism),
-    /// HC04 (panic-policy) and HC06 (unsafe-audit) are retired to
-    /// clippy and stay reserved.
+    /// HC02 (determinism-taint), HC03 (ordering-sensitivity), HC04
+    /// (panic-policy) and HC06 (unsafe-audit) are retired to clippy and
+    /// stay reserved.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::DeterminismTaint => "HC02",
-            Rule::OrderingSensitivity => "HC03",
             Rule::UnitHygiene => "HC05",
             Rule::ConfigDrift => "HC07",
         }
@@ -112,14 +89,6 @@ impl Rule {
     /// One-line description (SARIF rule metadata).
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::DeterminismTaint => {
-                "Values derived from host time/randomness must not flow through bindings \
-                 into sim state fields or function returns (scope-aware taint tracking)."
-            }
-            Rule::OrderingSensitivity => {
-                "Iterating an unordered HashMap/HashSet must not mutate state or emit \
-                 output that outlives the loop; hash order varies per process."
-            }
             Rule::UnitHygiene => {
                 "No raw `as` casts into or out of the ID newtypes outside crates/types; \
                  use the explicit conversion methods."
@@ -318,7 +287,7 @@ pub fn run(root: &Path) -> Result<CheckReport, String> {
             waivers: Vec::new(),
         };
         collect_waivers(&mut ctx);
-        rules::check_file(&mut ctx, &mut findings);
+        rules::check_file(&ctx, &mut findings);
         settle_waivers(&ctx, &mut findings, &mut report);
         report.files_checked += 1;
     }

@@ -7,9 +7,9 @@ use crate::{FileContext, Finding, Rule};
 
 /// Crates whose code runs inside the simulated clock domain. Everything
 /// here must be deterministic and panic-free: each crate root carries
-/// [`SIM_CRITICAL_LINTS`], and the taint rule runs here. Harness crates
-/// (`obs` exporters, `bench`, the checker itself) are exempt from both
-/// but not from unit hygiene. `trace` (the LLC model on every
+/// [`SIM_CRITICAL_LINTS`]. Harness crates (`obs` exporters, `bench`,
+/// the checker itself) are exempt from that line but not from unit
+/// hygiene. `trace` (the LLC model on every
 /// cacheline access) and `workloads` (the seeded stream generators) sit
 /// on the simulated path and are sim-critical.
 pub const SIM_CRITICAL_CRATES: [&str; 12] = [
@@ -29,8 +29,9 @@ pub const SIM_CRITICAL_CRATES: [&str; 12] = [
 
 /// Crates that are host-side tooling by design: measurement harnesses,
 /// exporters and the checker itself. Exempt from the sim-critical
-/// determinism and panic bans and the taint rule (but not from unit
-/// hygiene, ordering-sensitivity or the workspace-wide clippy lints).
+/// type and panic bans (but not from unit hygiene or the
+/// workspace-wide clippy lints, `iter_over_hash_type` and
+/// `disallowed-methods` included).
 ///
 /// Together with [`SIM_CRITICAL_CRATES`] this must cover every
 /// directory under `crates/`: [`check_crate_classification`] fails the
@@ -52,20 +53,15 @@ pub const SIM_CRITICAL_LINTS: &str = "#![deny(clippy::unwrap_used, clippy::expec
 const ID_NEWTYPES: [&str; 6] = ["Vpn", "Ppn", "Pid", "NodeId", "LineAddr", "SwapSlot"];
 
 /// Runs the per-file rules over one lexed file.
-pub fn check_file(ctx: &mut FileContext<'_>, findings: &mut Vec<Finding>) {
-    // The whole `benches/` tree is measurement harness, not sim code.
-    let sim_critical = SIM_CRITICAL_CRATES.contains(&ctx.krate) && !ctx.rel.contains("/benches/");
-    if ctx.krate != "types" && ctx.krate != "check" {
-        for (idx, line) in ctx.lexed.lines.iter().enumerate() {
-            if !line.in_test {
-                check_unit_hygiene(ctx, line, idx + 1, findings);
-            }
+pub fn check_file(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
+    if ctx.krate == "types" || ctx.krate == "check" {
+        return;
+    }
+    for (idx, line) in ctx.lexed.lines.iter().enumerate() {
+        if !line.in_test {
+            check_unit_hygiene(ctx, line, idx + 1, findings);
         }
     }
-    // The scope-aware passes: determinism taint-flow (sim-critical
-    // only) and ordering-sensitivity (everywhere).
-    let toks = crate::lexer::tokenize(&ctx.lexed);
-    crate::dataflow::check_dataflow(ctx, &toks, sim_critical, findings);
 }
 
 fn check_unit_hygiene(
@@ -130,8 +126,8 @@ fn argument_span(code: &str, open: usize) -> &str {
 }
 
 /// Every directory under `crates/` must be classified: either
-/// sim-critical (determinism and panic bans, taint rule) or harness
-/// (exempt from those). An unclassified crate is a finding — previously
+/// sim-critical (determinism and panic bans) or harness (exempt from
+/// those). An unclassified crate is a finding — previously
 /// the hand-maintained [`SIM_CRITICAL_CRATES`] list could silently go
 /// stale when a crate was added, leaving it unanalysed.
 ///

@@ -96,11 +96,10 @@ mod tests {
         CheckReport {
             findings: vec![
                 Finding {
-                    rule: Rule::DeterminismTaint,
+                    rule: Rule::ConfigDrift,
                     file: "crates/hw/src/lib.rs".to_string(),
                     line: 8,
-                    message: "`state.ns` absorbs a value derived from `Instant` (line 6)"
-                        .to_string(),
+                    message: "sim-critical crate root lacks the lint line".to_string(),
                 },
                 Finding {
                     rule: Rule::UnitHygiene,
@@ -131,10 +130,7 @@ mod tests {
         let results = runs[0].get("results").unwrap().as_arr().unwrap();
         assert_eq!(results.len(), 2);
         let first = &results[0];
-        assert_eq!(
-            first.get("ruleId").unwrap().as_str(),
-            Some("determinism-taint")
-        );
+        assert_eq!(first.get("ruleId").unwrap().as_str(), Some("config-drift"));
         let loc = &first.get("locations").unwrap().as_arr().unwrap()[0];
         let phys = loc.get("physicalLocation").unwrap();
         assert_eq!(
@@ -160,10 +156,7 @@ mod tests {
             .is_some());
         // ruleIndex must agree with the rules array position.
         let idx = first.get("ruleIndex").unwrap().as_usize().unwrap();
-        assert_eq!(
-            rules[idx].get("id").unwrap().as_str(),
-            Some("determinism-taint")
-        );
+        assert_eq!(rules[idx].get("id").unwrap().as_str(), Some("config-drift"));
     }
 
     #[test]
@@ -183,7 +176,7 @@ mod tests {
     fn messages_with_quotes_and_backslashes_stay_valid() {
         let mut rep = CheckReport::default();
         rep.findings.push(Finding {
-            rule: Rule::DeterminismTaint,
+            rule: Rule::UnitHygiene,
             file: "a\\b.rs".to_string(),
             line: 1,
             message: "uses \"Instant\" \\ <newline>\n end".to_string(),

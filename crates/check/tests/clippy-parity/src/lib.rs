@@ -10,6 +10,7 @@
     clippy::allow_attributes_without_reason
 )]
 
+pub mod ambient;
 pub mod dsaware;
 pub mod profclock;
 pub mod scncritical;

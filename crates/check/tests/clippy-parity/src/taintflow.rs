@@ -1,6 +1,6 @@
-//! The direct host-clock reads of the taint fixture. The laundered
-//! sinks below them carry no banned name; hopp-check's taint rule owns
-//! those.
+//! Host time laundered through bindings into sim state. The sinks carry
+//! no banned name, but every value reaching them starts at a banned
+//! source, so banning the sources cuts every such path.
 
 use std::time::Instant;
 

@@ -1,7 +1,8 @@
-//! Clippy parity: the determinism, panic-policy and unsafe-audit rules
-//! (the retired HC01, HC04 and HC06) are enforced by clippy, through
-//! the root `clippy.toml`, the `[workspace.lints]` table and the lint
-//! line at every sim-critical crate root.
+//! Clippy parity: the determinism, determinism-taint,
+//! ordering-sensitivity, panic-policy and unsafe-audit rules (the
+//! retired HC01–HC04 and HC06) are enforced by clippy, through the root
+//! `clippy.toml`, the `[workspace.lints]` table and the lint line at
+//! every sim-critical crate root.
 //!
 //! `tests/clippy-parity` is a compilable package that seeds every
 //! positive and negative case those rules' fixtures used to cover. This
@@ -15,13 +16,17 @@ use std::process::Command;
 
 /// Short-format diagnostics carry no lint name; each message prefix
 /// names its lint. A message outside this table fails the test.
-const MESSAGES: [(&str, &str); 9] = [
+const MESSAGES: [(&str, &str); 10] = [
     ("used `unwrap()`", "unwrap_used"),
     ("used `expect()`", "expect_used"),
     ("`panic` should not be present", "panic"),
     ("usage of the `unreachable!` macro", "unreachable"),
     ("use of a disallowed type", "disallowed_types"),
     ("use of a disallowed method", "disallowed_methods"),
+    (
+        "iteration over unordered hash-based type",
+        "iter_over_hash_type",
+    ),
     (
         "unsafe block missing a safety comment",
         "undocumented_unsafe_blocks",
@@ -40,8 +45,19 @@ const MESSAGES: [(&str, &str); 9] = [
 /// listed are the negative cases: test code, the lab pool's reasoned
 /// `thread::scope`, `hopp_prof::span`, `hopp_ds` types, harness
 /// `unwrap`s and maps, a `SAFETY`-commented `unsafe` block, a used
-/// `#[expect]`, and the taint fixture's sink lines.
-const EXPECTED: [(&str, usize, &str); 18] = [
+/// `#[expect]`, the taint fixture's sink lines (their sources are
+/// banned) and a `BTreeMap` loop.
+const EXPECTED: [(&str, usize, &str); 26] = [
+    ("src/ambient.rs", 5, "disallowed_methods"),
+    ("src/ambient.rs", 9, "disallowed_methods"),
+    ("src/ambient.rs", 13, "disallowed_methods"),
+    ("src/ambient.rs", 17, "disallowed_methods"),
+    ("src/ambient.rs", 21, "disallowed_methods"),
+    // A `HashMap` loop fires whether its body writes state that
+    // outlives it, stays loop-local, or walks `.keys()`.
+    ("src/bin/harness/export.rs", 8, "iter_over_hash_type"),
+    ("src/bin/harness/export.rs", 11, "iter_over_hash_type"),
+    ("src/bin/harness/export.rs", 15, "iter_over_hash_type"),
     ("src/bin/harness/obs.rs", 7, "disallowed_methods"),
     ("src/bin/harness/prof.rs", 14, "undocumented_unsafe_blocks"),
     ("src/dsaware.rs", 3, "disallowed_types"),
@@ -87,6 +103,10 @@ fn lint_of(message: &str) -> &'static str {
 #[test]
 fn clippy_fires_exactly_on_the_seeded_violations() {
     let dir = parity_dir();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the nested clippy must run under the cargo that runs this test"
+    )]
     let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
     // `--cap-lints warn` keeps denied lints from stopping the build, so
     // the harness binary is linted even though the library has errors.

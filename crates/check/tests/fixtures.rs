@@ -100,76 +100,6 @@ fn stale_and_reasonless_waivers_are_findings() {
 }
 
 #[test]
-fn taint_flow_catches_laundering_the_type_ban_cannot_see() {
-    let report = check("taintflow");
-    // Lines 7 and 12 read `Instant::now()` directly — clippy's
-    // `disallowed_types` sees those. Lines 8, 14 and 15 are where the
-    // *value* escapes: a tainted function return, a one-hop field sink,
-    // and a call-sink through that tainted function.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![
-            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 8),
-            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 14),
-            (Rule::DeterminismTaint, "crates/hw/src/lib.rs", 15),
-        ],
-        "{}",
-        report.render()
-    );
-    // The sink lines carry NO banned name — a per-line ban has nothing
-    // to match there. Only the dataflow walk reaches them.
-    let src = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/taintflow/crates/hw/src/lib.rs"),
-    )
-    .expect("fixture readable");
-    for sink in [14, 15] {
-        let line = src.lines().nth(sink - 1).expect("sink line exists");
-        for banned in ["Instant", "SystemTime", "host_now_ns", "rand", "env::var"] {
-            assert!(
-                !line.contains(banned),
-                "line {sink} must be invisible to a per-line ban: {line}"
-            );
-        }
-    }
-    // Messages trace the flow back to its origin line.
-    assert!(
-        report.findings[1].message.contains("`Instant` (line 12)"),
-        "sink names its origin: {}",
-        report.findings[1].message
-    );
-    assert!(
-        report.findings[0].message.contains("host_probe"),
-        "return finding names the function: {}",
-        report.findings[0].message
-    );
-    assert_eq!(report.files_checked, 1);
-}
-
-#[test]
-fn ordering_sensitivity_fires_on_hash_iteration_with_escaping_writes() {
-    let report = check("orderflow");
-    // One finding, at the first loop's `for` header: it iterates a
-    // `HashMap` and appends to a string that outlives the loop. The
-    // `BTreeMap` twin and the loop-local-only `HashMap` loop are spared.
-    let got: Vec<_> = report.findings.iter().map(brief).collect();
-    assert_eq!(
-        got,
-        vec![(Rule::OrderingSensitivity, "crates/obs/src/lib.rs", 6)],
-        "{}",
-        report.render()
-    );
-    assert!(
-        report.findings[0].message.contains("hopp_ds::DetMap")
-            && report.findings[0].message.contains("`index`"),
-        "steer names the binding and the fix: {}",
-        report.findings[0].message
-    );
-    assert_eq!(report.files_checked, 1);
-}
-
-#[test]
 fn unclassified_crates_are_config_drift() {
     let report = check("driftcrate");
     // `crates/mystery` exists on disk but neither SIM_CRITICAL_CRATES

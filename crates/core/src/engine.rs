@@ -140,7 +140,7 @@ impl HoppEngine {
             let stt = &self.stt;
             self.policy.retain_streams(|s| stt.is_live(s));
         }
-        let Some(window) = self.stt.observe_rec(hot, rec) else {
+        let Some(window) = self.stt.observe(hot, rec) else {
             return;
         };
         let Some(prediction) = self.tiers.predict(&window) else {

@@ -232,12 +232,15 @@ mod tests {
         .unwrap();
         let mut last = None;
         for k in 0..4u64 {
-            last = stt.observe(&hopp_types::HotPage {
-                pid: Pid::new(1),
-                vpn: Vpn::new(k),
-                flags: hopp_types::PageFlags::default(),
-                at: Nanos::ZERO,
-            });
+            last = stt.observe(
+                &hopp_types::HotPage {
+                    pid: Pid::new(1),
+                    vpn: Vpn::new(k),
+                    flags: hopp_types::PageFlags::default(),
+                    at: Nanos::ZERO,
+                },
+                &mut hopp_obs::NopRecorder,
+            );
         }
         last.unwrap().stream
     }

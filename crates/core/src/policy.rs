@@ -291,12 +291,15 @@ mod tests {
         .unwrap();
         let mut last = None;
         for k in 0..4u64 {
-            last = stt.observe(&hopp_types::HotPage {
-                pid: Pid::new(slot + 1),
-                vpn: Vpn::new(1_000 * u64::from(slot + 1) + k),
-                flags: hopp_types::PageFlags::default(),
-                at: Nanos::ZERO,
-            });
+            last = stt.observe(
+                &hopp_types::HotPage {
+                    pid: Pid::new(slot + 1),
+                    vpn: Vpn::new(1_000 * u64::from(slot + 1) + k),
+                    flags: hopp_types::PageFlags::default(),
+                    at: Nanos::ZERO,
+                },
+                &mut hopp_obs::NopRecorder,
+            );
         }
         last.unwrap().stream
     }
@@ -417,12 +420,15 @@ mod tests {
         for base in [1_000u64, 900_000] {
             let mut last = None;
             for k in 0..4u64 {
-                last = stt.observe(&hopp_types::HotPage {
-                    pid: Pid::new(1),
-                    vpn: Vpn::new(base + k),
-                    flags: hopp_types::PageFlags::default(),
-                    at: Nanos::ZERO,
-                });
+                last = stt.observe(
+                    &hopp_types::HotPage {
+                        pid: Pid::new(1),
+                        vpn: Vpn::new(base + k),
+                        flags: hopp_types::PageFlags::default(),
+                        at: Nanos::ZERO,
+                    },
+                    &mut hopp_obs::NopRecorder,
+                );
             }
             ids.push(last.unwrap().stream);
         }

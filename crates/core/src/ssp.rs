@@ -17,6 +17,7 @@ use crate::stt::StreamWindow;
 /// ```
 /// use hopp_core::ssp;
 /// use hopp_core::stt::{StreamTrainingTable, SttConfig};
+/// use hopp_obs::NopRecorder;
 /// use hopp_types::{HotPage, Nanos, PageFlags, Pid, Vpn};
 ///
 /// let mut stt = StreamTrainingTable::new(SttConfig { history: 4, ..Default::default() })?;
@@ -24,7 +25,7 @@ use crate::stt::StreamWindow;
 /// for v in [10u64, 13, 16, 19] {
 ///     let hot = HotPage { pid: Pid::new(1), vpn: Vpn::new(v),
 ///                         flags: PageFlags::default(), at: Nanos::ZERO };
-///     if let Some(window) = stt.observe(&hot) {
+///     if let Some(window) = stt.observe(&hot, &mut NopRecorder) {
 ///         stride = ssp::dominant_stride(&window);
 ///     }
 /// }

@@ -10,7 +10,7 @@
 //! further hot page yields a [`StreamWindow`] for the prefetch
 //! algorithms to analyse.
 
-use hopp_obs::{Event, NopRecorder, Recorder};
+use hopp_obs::{Event, Recorder};
 use hopp_types::{Error, HotPage, Nanos, Pid, Result, Vpn};
 
 /// Identifies a stream across the lifetime of a run.
@@ -193,6 +193,7 @@ pub struct SttStats {
 ///
 /// ```
 /// use hopp_core::stt::{StreamTrainingTable, SttConfig};
+/// use hopp_obs::NopRecorder;
 /// use hopp_types::{HotPage, Nanos, PageFlags, Pid, Vpn};
 ///
 /// let mut stt = StreamTrainingTable::new(SttConfig { history: 4, ..Default::default() })?;
@@ -200,7 +201,7 @@ pub struct SttStats {
 /// for k in 0..6u64 {
 ///     let hot = HotPage { pid: Pid::new(1), vpn: Vpn::new(10 + k), flags: PageFlags::default(),
 ///                         at: Nanos::ZERO };
-///     if stt.observe(&hot).is_some() { windows += 1; }
+///     if stt.observe(&hot, &mut NopRecorder).is_some() { windows += 1; }
 /// }
 /// assert_eq!(windows, 3); // windows at the 4th, 5th and 6th page
 /// # Ok::<(), hopp_types::Error>(())
@@ -244,16 +245,11 @@ impl StreamTrainingTable {
     }
 
     /// Feeds one hot page; returns a training window when the page
-    /// extends a stream whose history is full.
-    pub fn observe(&mut self, hot: &HotPage) -> Option<StreamWindow<'_>> {
-        self.observe_rec(hot, &mut NopRecorder)
-    }
-
-    /// [`StreamTrainingTable::observe`], recording stream lifecycle
+    /// extends a stream whose history is full. Records stream lifecycle
     /// events: [`Event::StreamUpdated`] when a hot page extends an
     /// existing stream, [`Event::StreamEvicted`] +
     /// [`Event::StreamCreated`] when a new one recycles a slot.
-    pub fn observe_rec<R: Recorder + ?Sized>(
+    pub fn observe<R: Recorder + ?Sized>(
         &mut self,
         hot: &HotPage,
         rec: &mut R,
@@ -394,6 +390,7 @@ impl StreamTrainingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hopp_obs::NopRecorder;
     use hopp_types::PageFlags;
 
     fn hot(pid: u16, vpn: u64) -> HotPage {
@@ -439,10 +436,10 @@ mod tests {
     #[test]
     fn window_appears_when_history_fills() {
         let mut t = stt(4);
-        assert!(t.observe(&hot(1, 10)).is_none());
-        assert!(t.observe(&hot(1, 12)).is_none());
-        assert!(t.observe(&hot(1, 14)).is_none());
-        let w = t.observe(&hot(1, 16)).unwrap();
+        assert!(t.observe(&hot(1, 10), &mut NopRecorder).is_none());
+        assert!(t.observe(&hot(1, 12), &mut NopRecorder).is_none());
+        assert!(t.observe(&hot(1, 14), &mut NopRecorder).is_none());
+        let w = t.observe(&hot(1, 16), &mut NopRecorder).unwrap();
         assert_eq!(
             w.vpn_history,
             vec![Vpn::new(10), Vpn::new(12), Vpn::new(14), Vpn::new(16)]
@@ -456,9 +453,9 @@ mod tests {
     fn window_slides_after_full() {
         let mut t = stt(4);
         for v in [10, 12, 14, 16] {
-            t.observe(&hot(1, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
         }
-        let w = t.observe(&hot(1, 18)).unwrap();
+        let w = t.observe(&hot(1, 18), &mut NopRecorder).unwrap();
         assert_eq!(w.vpn_history[0], Vpn::new(12));
         assert_eq!(w.vpn_a(), Vpn::new(18));
         assert_eq!(t.stats().windows, 2);
@@ -470,12 +467,12 @@ mod tests {
         // Two processes interleave the *same* VPNs; each gets its own
         // stream (the hot-page trace carries PIDs, §VI-B).
         for v in [10, 11, 12] {
-            t.observe(&hot(1, v));
-            t.observe(&hot(2, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
+            t.observe(&hot(2, v), &mut NopRecorder);
         }
         assert_eq!(t.active_streams(), 2);
-        assert!(t.observe(&hot(1, 13)).is_some());
-        assert!(t.observe(&hot(2, 13)).is_some());
+        assert!(t.observe(&hot(1, 13), &mut NopRecorder).is_some());
+        assert!(t.observe(&hot(2, 13), &mut NopRecorder).is_some());
     }
 
     #[test]
@@ -484,24 +481,24 @@ mod tests {
         // Two streams 1M pages apart, interleaved: page clustering keeps
         // them in separate entries (the Leap failure mode of §II-B).
         for k in 0..4u64 {
-            t.observe(&hot(1, 1000 + k));
-            t.observe(&hot(1, 2_000_000 + 2 * k));
+            t.observe(&hot(1, 1000 + k), &mut NopRecorder);
+            t.observe(&hot(1, 2_000_000 + 2 * k), &mut NopRecorder);
         }
         assert_eq!(t.active_streams(), 2);
-        let w = t.observe(&hot(1, 1004)).unwrap();
+        let w = t.observe(&hot(1, 1004), &mut NopRecorder).unwrap();
         assert_eq!(w.stride_history, vec![1, 1, 1]);
     }
 
     #[test]
     fn duplicate_hot_pages_are_deduped() {
         let mut t = stt(4);
-        t.observe(&hot(1, 10));
-        assert!(t.observe(&hot(1, 10)).is_none());
+        t.observe(&hot(1, 10), &mut NopRecorder);
+        assert!(t.observe(&hot(1, 10), &mut NopRecorder).is_none());
         assert_eq!(t.stats().deduped, 1);
         // The stream is not polluted by the duplicate.
-        t.observe(&hot(1, 11));
-        t.observe(&hot(1, 12));
-        let w = t.observe(&hot(1, 13)).unwrap();
+        t.observe(&hot(1, 11), &mut NopRecorder);
+        t.observe(&hot(1, 12), &mut NopRecorder);
+        let w = t.observe(&hot(1, 13), &mut NopRecorder).unwrap();
         assert_eq!(w.stride_history, vec![1, 1, 1]);
     }
 
@@ -510,16 +507,16 @@ mod tests {
         let mut t = stt(4);
         // Stream A sits at 100; stream B starts at 200 (too far to join
         // A) and walks down towards it.
-        t.observe(&hot(1, 100));
+        t.observe(&hot(1, 100), &mut NopRecorder);
         for v in [200, 190, 180, 170] {
-            t.observe(&hot(1, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
         }
         assert_eq!(t.active_streams(), 2);
         // Page 150 is within Δ=64 of both streams (50 from A's 100,
         // 20 from B's 170): the closer stream B absorbs it.
-        t.observe(&hot(1, 150));
-        t.observe(&hot(1, 148));
-        let w = t.observe(&hot(1, 146)).unwrap();
+        t.observe(&hot(1, 150), &mut NopRecorder);
+        t.observe(&hot(1, 148), &mut NopRecorder);
+        let w = t.observe(&hot(1, 146), &mut NopRecorder).unwrap();
         assert_eq!(w.vpn_history[0], Vpn::new(170));
         assert_eq!(t.active_streams(), 2, "stream A is untouched");
     }
@@ -532,24 +529,24 @@ mod tests {
             delta_stream: 4,
         })
         .unwrap();
-        t.observe(&hot(1, 0));
-        t.observe(&hot(1, 1000));
+        t.observe(&hot(1, 0), &mut NopRecorder);
+        t.observe(&hot(1, 1000), &mut NopRecorder);
         // A third far-away stream evicts the LRU entry (slot of page 0).
-        t.observe(&hot(1, 2000));
+        t.observe(&hot(1, 2000), &mut NopRecorder);
         assert_eq!(t.stats().evictions, 1);
         // Complete the recycled stream: its id differs by generation.
-        t.observe(&hot(1, 2001));
-        t.observe(&hot(1, 2002));
-        let w = t.observe(&hot(1, 2003)).unwrap();
+        t.observe(&hot(1, 2001), &mut NopRecorder);
+        t.observe(&hot(1, 2002), &mut NopRecorder);
+        let w = t.observe(&hot(1, 2003), &mut NopRecorder).unwrap();
         assert_eq!(w.stream.slot(), 0);
         // Build a window in slot 0 again after another eviction cycle
         // and verify the generation moved on.
         let first_gen = w.stream;
-        t.observe(&hot(1, 5000)); // evicts slot 1 (page 1000 stream)
-        t.observe(&hot(1, 7000)); // evicts slot 0
-        t.observe(&hot(1, 7001));
-        t.observe(&hot(1, 7002));
-        let w2 = t.observe(&hot(1, 7003)).unwrap();
+        t.observe(&hot(1, 5000), &mut NopRecorder); // evicts slot 1 (page 1000 stream)
+        t.observe(&hot(1, 7000), &mut NopRecorder); // evicts slot 0
+        t.observe(&hot(1, 7001), &mut NopRecorder);
+        t.observe(&hot(1, 7002), &mut NopRecorder);
+        let w2 = t.observe(&hot(1, 7003), &mut NopRecorder).unwrap();
         assert_eq!(w2.stream.slot(), 0);
         assert_ne!(w2.stream, first_gen);
         let second_gen = w2.stream;
@@ -562,7 +559,7 @@ mod tests {
         // 40 pages run the 2L-slot history through several slides.
         let mut t = stt(4);
         for v in 0..40u64 {
-            if let Some(w) = t.observe(&hot(1, 3 * v)) {
+            if let Some(w) = t.observe(&hot(1, 3 * v), &mut NopRecorder) {
                 let want: Vec<Vpn> = (v - 3..=v).map(|k| Vpn::new(3 * k)).collect();
                 assert_eq!(w.vpn_history, want);
                 assert_eq!(w.stride_history, [3, 3, 3]);
@@ -581,10 +578,10 @@ mod tests {
             delta_stream: 4,
         })
         .unwrap();
-        t.observe_rec(&hot(1, 0), &mut sink); // created (slot 0)
-        t.observe_rec(&hot(1, 1), &mut sink); // updated
-        t.observe_rec(&hot(1, 1000), &mut sink); // created (slot 1)
-        t.observe_rec(&hot(1, 2000), &mut sink); // evicts + creates
+        t.observe(&hot(1, 0), &mut sink); // created (slot 0)
+        t.observe(&hot(1, 1), &mut sink); // updated
+        t.observe(&hot(1, 1000), &mut sink); // created (slot 1)
+        t.observe(&hot(1, 2000), &mut sink); // evicts + creates
         let names: Vec<&str> = sink.events().map(|e| e.event.name()).collect();
         assert_eq!(
             names,
@@ -602,9 +599,9 @@ mod tests {
     fn negative_strides_are_tracked() {
         let mut t = stt(4);
         for v in [100, 97, 94] {
-            t.observe(&hot(1, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
         }
-        let w = t.observe(&hot(1, 91)).unwrap();
+        let w = t.observe(&hot(1, 91), &mut NopRecorder).unwrap();
         assert_eq!(w.stride_history, vec![-3, -3, -3]);
     }
 }

@@ -7,7 +7,7 @@
 //! page stored there.
 
 use hopp_ds::DetMap;
-use hopp_obs::{Event, NopRecorder, Recorder};
+use hopp_obs::{Event, Recorder};
 use hopp_types::{Error, Nanos, Pid, Result, SwapSlot, Vpn};
 
 use crate::prefetcher::SlotView;
@@ -39,31 +39,21 @@ impl SwapDevice {
         }
     }
 
-    /// Allocates a slot for a page being swapped out. Freed slots are
-    /// reused (LIFO) before fresh ones are minted, as in the kernel's
-    /// swap map scan.
+    /// Allocates a slot for a page being swapped out at `now`, recording
+    /// an [`Event::SwapOut`] with the slot the page landed in. Freed
+    /// slots are reused (LIFO) before fresh ones are minted, as in the
+    /// kernel's swap map scan.
     ///
     /// # Errors
     ///
     /// Returns [`Error::RemoteMemoryExhausted`] when the remote node is
     /// at capacity.
-    pub fn alloc(&mut self, pid: Pid, vpn: Vpn) -> Result<SwapSlot> {
-        self.alloc_rec(pid, vpn, Nanos::ZERO, &mut NopRecorder)
-    }
-
-    /// [`SwapDevice::alloc`], recording an [`Event::SwapOut`] with the
-    /// slot the page landed in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::RemoteMemoryExhausted`] when the remote node is
-    /// at capacity.
-    pub fn alloc_rec(
+    pub fn alloc<R: Recorder + ?Sized>(
         &mut self,
         pid: Pid,
         vpn: Vpn,
         now: Nanos,
-        rec: &mut dyn Recorder,
+        rec: &mut R,
     ) -> Result<SwapSlot> {
         let _prof = hopp_prof::span("kernel/swap_alloc");
         if let Some(cap) = self.capacity {
@@ -115,12 +105,18 @@ impl SlotView for SwapDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hopp_obs::NopRecorder;
+
+    /// Swaps `vpn` of `pid` out at time zero, recording nothing.
+    fn swap_out(dev: &mut SwapDevice, pid: u16, vpn: u64) -> Result<SwapSlot> {
+        dev.alloc(Pid::new(pid), Vpn::new(vpn), Nanos::ZERO, &mut NopRecorder)
+    }
 
     #[test]
     fn slots_are_sequential() {
         let mut dev = SwapDevice::new();
-        let a = dev.alloc(Pid::new(1), Vpn::new(10)).unwrap();
-        let b = dev.alloc(Pid::new(1), Vpn::new(11)).unwrap();
+        let a = swap_out(&mut dev, 1, 10).unwrap();
+        let b = swap_out(&mut dev, 1, 11).unwrap();
         assert_eq!(a, SwapSlot::new(0));
         assert_eq!(b, SwapSlot::new(1));
         assert_eq!(dev.page_at(a), Some((Pid::new(1), Vpn::new(10))));
@@ -130,10 +126,10 @@ mod tests {
     #[test]
     fn freed_slots_are_reused() {
         let mut dev = SwapDevice::new();
-        let a = dev.alloc(Pid::new(1), Vpn::new(10)).unwrap();
+        let a = swap_out(&mut dev, 1, 10).unwrap();
         dev.free(a);
         assert_eq!(dev.page_at(a), None);
-        let b = dev.alloc(Pid::new(2), Vpn::new(20)).unwrap();
+        let b = swap_out(&mut dev, 2, 20).unwrap();
         assert_eq!(b, a);
         assert_eq!(dev.page_at(b), Some((Pid::new(2), Vpn::new(20))));
         assert_eq!(dev.high_water(), 1);
@@ -142,26 +138,26 @@ mod tests {
     #[test]
     fn double_free_is_idempotent() {
         let mut dev = SwapDevice::new();
-        let a = dev.alloc(Pid::new(1), Vpn::new(1)).unwrap();
+        let a = swap_out(&mut dev, 1, 1).unwrap();
         dev.free(a);
         dev.free(a);
-        let b = dev.alloc(Pid::new(1), Vpn::new(2)).unwrap();
-        let c = dev.alloc(Pid::new(1), Vpn::new(3)).unwrap();
+        let b = swap_out(&mut dev, 1, 2).unwrap();
+        let c = swap_out(&mut dev, 1, 3).unwrap();
         assert_ne!(b, c, "a double free must not hand the slot out twice");
     }
 
     #[test]
     fn capacity_bound_is_enforced() {
         let mut dev = SwapDevice::with_capacity(2);
-        let a = dev.alloc(Pid::new(1), Vpn::new(1)).unwrap();
-        dev.alloc(Pid::new(1), Vpn::new(2)).unwrap();
+        let a = swap_out(&mut dev, 1, 1).unwrap();
+        swap_out(&mut dev, 1, 2).unwrap();
         assert!(matches!(
-            dev.alloc(Pid::new(1), Vpn::new(3)),
+            swap_out(&mut dev, 1, 3),
             Err(hopp_types::Error::RemoteMemoryExhausted { capacity_pages: 2 })
         ));
         // Freeing makes room again.
         dev.free(a);
-        assert!(dev.alloc(Pid::new(1), Vpn::new(3)).is_ok());
+        assert!(swap_out(&mut dev, 1, 3).is_ok());
     }
 
     #[test]
@@ -169,7 +165,7 @@ mod tests {
         let mut dev = SwapDevice::new();
         // Evict a stream of pages in order: their slots are adjacent.
         let slots: Vec<SwapSlot> = (0..5)
-            .map(|i| dev.alloc(Pid::new(1), Vpn::new(100 + i)).unwrap())
+            .map(|i| swap_out(&mut dev, 1, 100 + i).unwrap())
             .collect();
         for w in slots.windows(2) {
             assert_eq!(w[1].raw(), w[0].raw() + 1);

@@ -948,7 +948,7 @@ impl Simulator {
         } else {
             let slot = self
                 .swapdev
-                .alloc_rec(pid, vpn, self.clock, &mut self.recorder)?;
+                .alloc(pid, vpn, self.clock, &mut self.recorder)?;
             let pte = self
                 .spaces
                 .get_mut(&pid)

@@ -5,6 +5,7 @@
 use hopp::hw::rtl_rpt::{RptRtl, MSHR_ENTRIES};
 use hopp::hw::{HpdConfig, McPipeline, RptCacheConfig};
 use hopp::kernel::SwapDevice;
+use hopp::obs::NopRecorder;
 use hopp::sim::runner::SOLO_PID;
 use hopp::sim::{
     solo_app, AppSpec, BaselineKind, FabricConfig, FaultScript, SimConfig, Simulator, SystemConfig,
@@ -131,8 +132,11 @@ fn losing_every_replica_surfaces_page_unreachable_with_context() {
 #[test]
 fn swap_device_surfaces_exhaustion_as_an_error() {
     let mut dev = SwapDevice::with_capacity(1);
-    dev.alloc(Pid::new(1), Vpn::new(1)).unwrap();
-    let err = dev.alloc(Pid::new(1), Vpn::new(2)).unwrap_err();
+    dev.alloc(Pid::new(1), Vpn::new(1), Nanos::ZERO, &mut NopRecorder)
+        .unwrap();
+    let err = dev
+        .alloc(Pid::new(1), Vpn::new(2), Nanos::ZERO, &mut NopRecorder)
+        .unwrap_err();
     assert!(matches!(
         err,
         Error::RemoteMemoryExhausted { capacity_pages: 1 }

@@ -15,6 +15,7 @@ use hopp::hw::rtl::HpdRtl;
 use hopp::hw::{HotPageDetector, HpdConfig};
 use hopp::kernel::{LruLists, LruTier, SwapDevice};
 use hopp::net::CompletionQueue;
+use hopp::obs::NopRecorder;
 use hopp::trace::hmtt::{file as hmtt_file, HmttRecord};
 use hopp::trace::llc::{LastLevelCache, LlcConfig};
 use hopp::types::rng::SplitMix64;
@@ -139,7 +140,9 @@ fn swap_slots_are_unique() {
         for _ in 0..len {
             if rng.gen_bool(0.5) || live.is_empty() {
                 i += 1;
-                let slot = dev.alloc(Pid::new(1), Vpn::new(i)).unwrap();
+                let slot = dev
+                    .alloc(Pid::new(1), Vpn::new(i), Nanos::ZERO, &mut NopRecorder)
+                    .unwrap();
                 assert!(!live.contains(&slot), "slot reused while live");
                 live.push(slot);
             } else {
@@ -183,7 +186,7 @@ fn stt_windows_are_consistent() {
         let mut stt = StreamTrainingTable::new(config).unwrap();
         for i in 0..len {
             let v = rng.gen_range(0..100_000);
-            if let Some(w) = stt.observe(&hot(1, v, i)) {
+            if let Some(w) = stt.observe(&hot(1, v, i), &mut NopRecorder) {
                 assert_eq!(w.vpn_history.len(), history);
                 assert_eq!(w.stride_history.len(), history - 1);
                 for i in 0..history - 1 {
@@ -294,7 +297,10 @@ fn policy_offset_stays_bounded() {
         .unwrap();
         let mut stream = None;
         for k in 0..4u64 {
-            stream = stt.observe(&hot(1, k, 0)).map(|w| w.stream).or(stream);
+            stream = stt
+                .observe(&hot(1, k, 0), &mut NopRecorder)
+                .map(|w| w.stream)
+                .or(stream);
         }
         let stream = stream.unwrap();
         for _ in 0..len {
